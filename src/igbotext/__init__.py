@@ -41,14 +41,7 @@ from .ngrams import (
     trigram_conditional,
     unigram_probability,
 )
-from .normalize import (
-    NormalizerConfig,
-    normalize,
-    remove_noise,
-    split_clitic_boundaries,
-    strip_tone_marks,
-    to_lowercase,
-)
+from .normalize import normalize, strip_tone_marks
 from .pipeline import (
     DocTermMatrix,
     Pipeline,
@@ -61,15 +54,9 @@ from .pipeline import (
     run_pipeline,
     table_to_tsv,
 )
-from .stopwords import (
-    StopFilterConfig,
-    StopList,
-    builtin_stoplist,
-    load_stoplist,
-    remove_stopwords,
-)
+from .stopwords import StopList, builtin_stoplist, load_stoplist, remove_stopwords
 from .textio import Document, RawBytes, decode_utf8, encode_utf8, load_corpus, read_raw
-from .tokenize import Token, TokenizerConfig, TokenStream, token_count, tokenize
+from .tokenize import tokenize
 
 __version__ = "0.1.0"
 
@@ -81,19 +68,10 @@ __all__ = [
     "encode_utf8",
     "load_corpus",
     "read_raw",
-    "NormalizerConfig",
     "normalize",
-    "to_lowercase",
     "strip_tone_marks",
-    "remove_noise",
-    "split_clitic_boundaries",
-    "Token",
-    "TokenStream",
-    "TokenizerConfig",
     "tokenize",
-    "token_count",
     "StopList",
-    "StopFilterConfig",
     "load_stoplist",
     "remove_stopwords",
     "builtin_stoplist",

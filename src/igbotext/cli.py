@@ -19,7 +19,7 @@ from .errors import (
     LexiconInvariantError,
     PipelineStageError,
 )
-from .normalize import NormalizerConfig, normalize
+from .normalize import normalize
 from .pipeline import (
     Pipeline,
     PipelineConfig,
@@ -34,7 +34,7 @@ from .pipeline import (
     write_output,
 )
 from .textio import load_corpus
-from .tokenize import TokenizerConfig, tokenize
+from .tokenize import tokenize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,27 +110,24 @@ def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = (1, 2, 
         stoplist_path=Path(args.stopwords) if args.stopwords else None,
         lexicon_path=Path(args.lexicon) if getattr(args, "lexicon", None) else None,
         orders=orders,
-        output_format=args.format,
     )
 
 
 def _cmd_normalize(args: argparse.Namespace) -> str:
     doc = load_corpus([args.file])[0]
-    cfg = NormalizerConfig(mode=Mode.parse(args.mode))
-    out = normalize(doc, cfg)
+    text = normalize(doc.text, Mode.parse(args.mode))
     if args.format == "json":
-        return json.dumps({"doc_id": out.id, "text": out.text}, ensure_ascii=False, indent=2) + "\n"
-    return out.text + "\n"
+        return json.dumps({"doc_id": doc.id, "text": text}, ensure_ascii=False, indent=2) + "\n"
+    return text + "\n"
 
 
 def _cmd_tokenize(args: argparse.Namespace) -> str:
     doc = load_corpus([args.file])[0]
-    mode = Mode.parse(args.mode)
-    stream = tokenize(normalize(doc, NormalizerConfig(mode=mode)), TokenizerConfig(mode=mode))
+    tokens = tokenize(normalize(doc.text, Mode.parse(args.mode)))
     if args.format == "json":
-        payload = {"doc_id": stream.doc_id, "tokens": stream.surfaces()}
+        payload = {"doc_id": doc.id, "tokens": tokens}
         return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    return "".join(surface + "\n" for surface in stream.surfaces())
+    return "".join(token + "\n" for token in tokens)
 
 
 def _cmd_represent(args: argparse.Namespace) -> str:

@@ -8,11 +8,11 @@ from enum import Enum
 class Mode(str, Enum):
     """Two documented pipeline behaviours.
 
-    PAPER_GOLDEN keeps hyphenated tokens whole, does no clitic splitting
-    and applies no minimum token length; it is the configuration the
-    golden doc1 frequency tables were produced under. STRICT splits
-    hyphens and apostrophes, separates clitic prefixes, and drops tokens
-    shorter than three characters.
+    Both modes split words at apostrophes. PAPER_GOLDEN keeps hyphenated
+    tokens whole and applies no minimum token length; it is the
+    configuration the golden doc1 frequency tables were produced under.
+    STRICT also splits words at hyphens, which separates clitic prefixes
+    ("na-ese" → "na ese"), and drops tokens shorter than three characters.
     """
 
     PAPER_GOLDEN = "paper_golden"

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import EmptyModelError, InvalidOrderError, OrderMismatchError, UnknownContextError
-from .tokenize import TokenStream
 
 NGram = tuple[str, ...]
 
@@ -42,12 +41,8 @@ class LanguageModel:
     trigrams: NGramTable
 
     @classmethod
-    def from_tokens(cls, ts: TokenStream) -> LanguageModel:
-        return cls(
-            unigrams=extract_ngrams(ts, 1),
-            bigrams=extract_ngrams(ts, 2),
-            trigrams=extract_ngrams(ts, 3),
-        )
+    def from_tokens(cls, tokens: Sequence[str], doc_id: str = "") -> LanguageModel:
+        return cls(*(extract_ngrams(tokens, n, doc_id) for n in (1, 2, 3)))
 
     def table(self, n: int) -> NGramTable:
         if n == 1:
@@ -59,18 +54,16 @@ class LanguageModel:
         raise InvalidOrderError(n)
 
 
-def extract_ngrams(ts: TokenStream, n: int) -> NGramTable:
+def extract_ngrams(tokens: Sequence[str], n: int, doc_id: str = "") -> NGramTable:
     """Count every contiguous window of n tokens; total = max(0, T-n+1)."""
     if not MIN_ORDER <= n <= MAX_ORDER:
         raise InvalidOrderError(n)
-    surfaces = ts.surfaces()
-    windows = (tuple(surfaces[i:i + n]) for i in range(len(surfaces) - n + 1))
-    counts = Counter(windows)
+    counts = Counter(zip(*(tokens[i:] for i in range(n))))
     return NGramTable(
         n=n,
         counts=dict(counts),
-        total_windows=max(0, len(surfaces) - n + 1),
-        doc_id=ts.doc_id,
+        total_windows=max(0, len(tokens) - n + 1),
+        doc_id=doc_id,
     )
 
 

@@ -24,10 +24,10 @@ from .ngrams import (
     merge_tables,
     rank_features,
 )
-from .normalize import APOSTROPHES, NormalizerConfig, normalize
-from .stopwords import StopFilterConfig, StopList, builtin_stoplist, load_stoplist, remove_stopwords
+from .normalize import normalize
+from .stopwords import StopList, builtin_stoplist, load_stoplist, remove_stopwords
 from .textio import Document, read_raw
-from .tokenize import TokenizerConfig, tokenize
+from .tokenize import tokenize
 
 VALID_ORDERS = (1, 2, 3)
 
@@ -38,7 +38,6 @@ class PipelineConfig:
     stoplist_path: Path | None = None
     lexicon_path: Path | None = None
     orders: tuple[int, ...] = VALID_ORDERS
-    output_format: str = "tsv"
 
     def __post_init__(self) -> None:
         if not self.orders:
@@ -47,8 +46,6 @@ class PipelineConfig:
         if bad:
             raise ValueError(f"unsupported n-gram orders: {bad}")
         object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
-        if self.output_format not in ("tsv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ class DocTermMatrix:
 
 
 class Pipeline:
-    """Stop list, lexicon and stage configs assembled once per run."""
+    """Stop list and lexicon loaded once per run, shared by every document."""
 
     def __init__(
         self,
@@ -81,15 +78,6 @@ class Pipeline:
         lexicon: list[LexiconEntry] | None = None,
     ) -> None:
         self.cfg = cfg
-        self.tokenizer_cfg = TokenizerConfig(mode=cfg.mode)
-        # Strict mode leaves apostrophe-bearing clitic words ("n’ulo") intact
-        # at normalization so the tokenizer can split off the clitic itself.
-        protected = tuple(
-            p for p in self.tokenizer_cfg.clitic_prefixes
-            if any(mark in p for mark in APOSTROPHES)
-        ) if cfg.mode is Mode.STRICT else ()
-        self.normalizer_cfg = NormalizerConfig(mode=cfg.mode, protected_apostrophe_prefixes=protected)
-        self.stopfilter_cfg = StopFilterConfig(mode=cfg.mode)
         self.stoplist = stoplist if stoplist is not None else self._load_stoplist()
         if lexicon is not None:
             self.lexicon: list[LexiconEntry] | None = lexicon
@@ -104,13 +92,16 @@ class Pipeline:
         return _stage("load-stoplist", load_stoplist, read_raw(self.cfg.stoplist_path))
 
     def represent(self, doc: Document) -> RepresentationBundle:
-        normalized = _stage("normalize", normalize, doc, self.normalizer_cfg)
-        stream = _stage("tokenize", tokenize, normalized, self.tokenizer_cfg)
-        filtered = _stage("stopwords", remove_stopwords, stream, self.stoplist, self.stopfilter_cfg)
-        tables = {n: extract_ngrams(filtered, n) for n in self.cfg.orders}
+        mode = self.cfg.mode
+        filtered = remove_stopwords(tokenize(normalize(doc.text, mode)), self.stoplist, mode)
+        tables = {n: extract_ngrams(filtered, n, doc.id) for n in self.cfg.orders}
         features = None
         if self.lexicon is not None:
-            model = LanguageModel.from_tokens(filtered)
+            # Key features look up all three orders; reuse the tables counted above.
+            model = LanguageModel(*(
+                tables[n] if n in tables else extract_ngrams(filtered, n, doc.id)
+                for n in VALID_ORDERS
+            ))
             features = _stage("features", match_key_features, model, self.lexicon)
         return RepresentationBundle(doc_id=doc.id, tables=tables, features=features)
 

@@ -3,7 +3,7 @@
 The shipped default list transcribes the published sample list; stop-word
 inventories are corpus-dependent, so the list is a replaceable data file,
 not code. Entries are stored with the typographic apostrophe (U+2019) so
-that "n'" and "n’" compare equal at filter time.
+that "n'" and "n’" name the same entry.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ from importlib import resources
 
 from .config import Mode
 from .errors import EmptyStopListWarning
-from .normalize import _fold_apostrophes
 from .textio import RawBytes, decode_utf8
-from .tokenize import Token, TokenStream
 
 # Strict mode drops tokens shorter than this many scalar values.
 STRICT_MIN_TOKEN_LENGTH = 3
+
+
+def _fold_apostrophes(text: str) -> str:
+    return text.replace("'", "’")
 
 
 @dataclass(frozen=True)
@@ -30,19 +32,6 @@ class StopList:
 
     def __contains__(self, surface: str) -> bool:
         return _fold_apostrophes(surface) in self.words
-
-
-@dataclass(frozen=True)
-class StopFilterConfig:
-    mode: Mode
-    min_token_length: int | None = None
-
-    def __post_init__(self) -> None:
-        forced = STRICT_MIN_TOKEN_LENGTH if self.mode is Mode.STRICT else 0
-        if self.min_token_length is None:
-            object.__setattr__(self, "min_token_length", forced)
-        elif self.min_token_length != forced:
-            raise ValueError(f"{self.mode.value} mode forces min_token_length={forced}")
 
 
 def load_stoplist(raw: RawBytes) -> StopList:
@@ -69,16 +58,13 @@ def builtin_stoplist() -> StopList:
     return StopList(words=loaded.words, source="builtin")
 
 
-def remove_stopwords(ts: TokenStream, sl: StopList, cfg: StopFilterConfig) -> TokenStream:
-    """Drop stop-list members and too-short tokens, re-indexing from 0.
+def remove_stopwords(tokens: tuple[str, ...], sl: StopList, mode: Mode) -> tuple[str, ...]:
+    """Drop stop-list members and, in strict mode, too-short tokens.
 
     Length is measured in Unicode scalar values, so "ahụ" counts as three
-    characters regardless of its byte length.
+    characters regardless of its byte length. Normalized tokens carry no
+    apostrophe, so they are looked up in the list as they are.
     """
-    kept = [
-        t.surface
-        for t in ts.tokens
-        if t.surface not in sl and len(t.surface) >= cfg.min_token_length
-    ]
-    tokens = tuple(Token(surface, i) for i, surface in enumerate(kept))
-    return TokenStream(doc_id=ts.doc_id, tokens=tokens)
+    words = sl.words
+    min_length = STRICT_MIN_TOKEN_LENGTH if mode is Mode.STRICT else 0
+    return tuple(t for t in tokens if t not in words and len(t) >= min_length)

@@ -1,80 +1,13 @@
-"""Whitespace tokenization with optional clitic-prefix splitting.
+"""Whitespace tokenization of normalized text.
 
-In strict mode a word starting with a clitic prefix ("na-ese", "n’aka")
-becomes two tokens, the prefix keeping its hyphen/apostrophe and the
-remainder ("na-", "ese"). Matching is longest-prefix-first so "ana-eme"
-yields "ana-" + "eme", never "a" + "na-" + "eme". Paper-golden mode keeps
-every whitespace-delimited word whole.
+Normalization has already turned every word boundary of the mode into
+whitespace (apostrophes in both modes, hyphens in strict mode), so in
+strict mode a clitic prefix is already its own word ("na-ese" → "na ese").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .config import Mode
-from .normalize import _fold_apostrophes
-from .textio import Document
-
-# Clitic prefixes recognized at word start, hyphen/apostrophe included.
-# The bare nasal clitic is spelled with its apostrophe: a lone letter "n"
-# inside ordinary words is never a split point.
-DEFAULT_CLITIC_PREFIXES: tuple[str, ...] = (
-    "ga-", "aga-", "n’", "na-", "ana-", "oga-", "iga-", "ona-", "ina-",
-)
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if not self.surface or any(ch.isspace() for ch in self.surface):
-            raise ValueError(f"token surface must be non-empty and whitespace-free: {self.surface!r}")
-        if self.index < 0:
-            raise ValueError("token index must be non-negative")
-
-
-@dataclass(frozen=True)
-class TokenStream:
-    doc_id: str
-    tokens: tuple[Token, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    mode: Mode
-    clitic_prefixes: tuple[str, ...] = DEFAULT_CLITIC_PREFIXES
-
-
-def _split_clitic(word: str, prefixes: tuple[str, ...]) -> tuple[str, ...]:
-    # Longest match first; split at most once, only at word start, and only
-    # when a non-empty remainder is left (a bare "na-" stays one token).
-    folded = _fold_apostrophes(word)
-    for prefix in sorted(prefixes, key=len, reverse=True):
-        cut = len(prefix)
-        if folded.startswith(_fold_apostrophes(prefix)) and len(word) > cut:
-            return word[:cut], word[cut:]
-    return (word,)
-
-
-def tokenize(doc: Document, cfg: TokenizerConfig) -> TokenStream:
-    """Split normalized text into an indexed token stream."""
-    surfaces: list[str] = []
-    for word in doc.text.split():
-        if cfg.mode is Mode.STRICT:
-            surfaces.extend(_split_clitic(word, cfg.clitic_prefixes))
-        else:
-            surfaces.append(word)
-    tokens = tuple(Token(surface, i) for i, surface in enumerate(surfaces))
-    return TokenStream(doc_id=doc.id, tokens=tokens)
-
-
-def token_count(ts: TokenStream) -> int:
-    return len(ts.tokens)
+def tokenize(text: str) -> tuple[str, ...]:
+    """The whitespace-delimited words of ``text``, in order."""
+    return tuple(text.split())

@@ -5,6 +5,16 @@ import sys
 
 import pytest
 
+from igbotext import (
+    Mode,
+    PipelineConfig,
+    builtin_stoplist,
+    extract_ngrams,
+    load_corpus,
+    remove_stopwords,
+    run_pipeline,
+)
+
 from conftest import DOC1_PATH
 
 DOC1 = str(DOC1_PATH)
@@ -48,6 +58,18 @@ def test_tokenize_json():
     proc = run_cli("tokenize", DOC1, "--format", "json")
     payload = json.loads(proc.stdout)
     assert payload["tokens"][:2] == ["kpaacharu", "anya"]
+
+
+def test_strict_tokenize_prints_the_stream_the_pipeline_counts(tmp_path):
+    doc = tmp_path / "clitic.txt"
+    doc.write_text("N’ulo’s ana-eme", encoding="utf-8")
+    proc = run_cli("tokenize", str(doc), "--mode", "strict")
+    assert proc.returncode == 0
+    kept = remove_stopwords(tuple(proc.stdout.splitlines()), builtin_stoplist(), Mode.STRICT)
+    assert kept == ("ulo", "ana", "eme")
+    bundle = run_pipeline(load_corpus([doc])[0], PipelineConfig(mode=Mode.STRICT))
+    for n in (1, 2, 3):
+        assert bundle.tables[n].counts == extract_ngrams(kept, n).counts
 
 
 def test_features_command_default_lexicon():

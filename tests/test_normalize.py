@@ -1,33 +1,25 @@
 from __future__ import annotations
 
+import time
 import unicodedata
 
-from igbotext import (
-    Document,
-    Mode,
-    NormalizerConfig,
-    normalize,
-    remove_noise,
-    split_clitic_boundaries,
-    strip_tone_marks,
-    to_lowercase,
-)
+from igbotext import Mode, normalize, strip_tone_marks
 
-GOLDEN_CFG = NormalizerConfig(mode=Mode.PAPER_GOLDEN)
-STRICT_CFG = NormalizerConfig(mode=Mode.STRICT)
+GOLDEN = Mode.PAPER_GOLDEN
+STRICT = Mode.STRICT
 
 
 def test_lowercase_ascii():
-    assert to_lowercase("Kpaacharu") == "kpaacharu"
+    assert normalize("Kpaacharu", GOLDEN) == "kpaacharu"
 
 
 def test_lowercase_dotted_vowels():
-    assert to_lowercase("ỤlỌ") == "ụlọ"  # Ụ
-    assert to_lowercase("Ị") == "ị"  # Ị → ị
+    assert normalize("ỤlỌ", GOLDEN) == "ụlọ"  # Ụ
+    assert normalize("Ị", GOLDEN) == "ị"  # Ị → ị
 
 
 def test_lowercase_all_caps():
-    assert to_lowercase("JIKOO") == "jikoo"
+    assert normalize("JIKOO", GOLDEN) == "jikoo"
 
 
 def test_strip_grave():
@@ -57,88 +49,84 @@ def test_strip_tone_mark_on_dotted_vowel():
 
 
 def test_remove_noise_punctuation():
-    assert remove_noise('ruo oru, pikinye "jikoo".') == "ruo oru pikinye jikoo"
+    assert normalize('ruo oru, pikinye "jikoo".', GOLDEN) == "ruo oru pikinye jikoo"
 
 
 def test_remove_noise_currency_and_digits():
-    assert remove_noise("₦500 efu") == "efu"
+    assert normalize("₦500 efu", GOLDEN) == "efu"
 
 
 def test_remove_noise_symbols():
-    assert remove_noise("a + b = c") == "a b c"
+    assert normalize("a + b = c", GOLDEN) == "a b c"
 
 
 def test_remove_noise_date_like_words_vanish():
-    assert remove_noise("taa 12/05/2016 bu") == "taa bu"
+    assert normalize("taa 12/05/2016 bu", GOLDEN) == "taa bu"
 
 
 def test_remove_noise_keeps_plain_igbo_words():
     text = "nwa akwukwo na ụlọ"
-    assert remove_noise(text) == text
+    assert normalize(text, GOLDEN) == text
+
+
+def test_digit_rule_is_linear_in_word_length():
+    # One 200 000-character word: a backtracking digit search would take
+    # minutes here.
+    word = "a" * 200_000
+    start = time.perf_counter()
+    assert normalize(word, GOLDEN) == word
+    assert normalize(word + "1", GOLDEN) == ""
+    assert time.perf_counter() - start < 5.0
 
 
 def test_split_hyphens_strict():
-    assert split_clitic_boundaries("nje-ozi", STRICT_CFG) == "nje ozi"
+    assert normalize("nje-ozi", STRICT) == "nje ozi"
 
 
 def test_split_apostrophes_strict():
-    assert split_clitic_boundaries("n’ulo akwukwo", STRICT_CFG) == "n ulo akwukwo"
+    assert normalize("n’ulo akwukwo", STRICT) == "n ulo akwukwo"
 
 
 def test_hyphens_kept_in_golden_mode():
-    assert split_clitic_boundaries("ihe-ngosi", GOLDEN_CFG) == "ihe-ngosi"
+    assert normalize("ihe-ngosi", GOLDEN) == "ihe-ngosi"
 
 
 def test_straight_apostrophe_also_splits():
-    assert split_clitic_boundaries("n'ulo", GOLDEN_CFG) == "n ulo"
+    assert normalize("n'ulo", GOLDEN) == "n ulo"
 
 
-def test_protected_prefix_keeps_apostrophe():
-    cfg = NormalizerConfig(mode=Mode.STRICT, protected_apostrophe_prefixes=("n’",))
-    assert split_clitic_boundaries("n’ulo aka'nri", cfg) == "n’ulo aka nri"
+def test_strict_splits_every_apostrophe():
+    # A word starting with the n’ clitic splits at its other apostrophes too.
+    assert normalize("n’ulo’s aka'nri", STRICT) == "n ulo s aka nri"
+    assert normalize("n'ulo's", STRICT) == "n ulo s"
 
 
 def test_normalize_doc1_golden(doc1):
-    out = normalize(doc1, GOLDEN_CFG)
-    assert out.id == doc1.id
-    assert "ahụ ihe-ngosi gi oburu na ichoro" in out.text
+    out = normalize(doc1.text, GOLDEN)
+    assert "ahụ ihe-ngosi gi oburu na ichoro" in out
     for ch in ',."':
-        assert ch not in out.text
+        assert ch not in out
 
 
 def test_normalize_empty():
-    assert normalize(Document("d", ""), GOLDEN_CFG).text == ""
+    assert normalize("", GOLDEN) == ""
 
 
 def test_normalize_strict_splits_tone_marked_hyphen_word():
-    out = normalize(Document("d", "nje-ozì"), STRICT_CFG)
-    assert out.text == "nje ozi"
+    assert normalize("nje-ozì", STRICT) == "nje ozi"
 
 
 def test_normalize_idempotent_on_doc1(doc1):
-    once = normalize(doc1, GOLDEN_CFG)
-    assert normalize(once, GOLDEN_CFG) == once
-    once_strict = normalize(doc1, STRICT_CFG)
-    assert normalize(once_strict, STRICT_CFG) == once_strict
+    once = normalize(doc1.text, GOLDEN)
+    assert normalize(once, GOLDEN) == once
+    once_strict = normalize(doc1.text, STRICT)
+    assert normalize(once_strict, STRICT) == once_strict
 
 
 def test_normalize_output_is_clean(doc1):
-    out = normalize(doc1, STRICT_CFG).text
+    out = normalize(doc1.text, STRICT)
     assert out == out.lower()
     decomposed = unicodedata.normalize("NFD", out)
     assert not any(m in decomposed for m in ("̀", "́", "̄"))
     assert not any(ch.isdigit() for ch in out)
     assert "-" not in out and "'" not in out and "’" not in out
-
-
-def test_config_mode_forces_flags():
-    import pytest
-
-    with pytest.raises(ValueError):
-        NormalizerConfig(mode=Mode.STRICT, split_hyphens=False)
-    with pytest.raises(ValueError):
-        NormalizerConfig(mode=Mode.PAPER_GOLDEN, split_hyphens=True)
-    with pytest.raises(ValueError):
-        NormalizerConfig(mode=Mode.PAPER_GOLDEN, split_apostrophes=False)
-    assert NormalizerConfig(mode=Mode.STRICT).split_hyphens is True
-    assert NormalizerConfig(mode=Mode.PAPER_GOLDEN).split_hyphens is False

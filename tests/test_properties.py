@@ -18,9 +18,8 @@ from igbotext import (
     Document,
     LanguageModel,
     Mode,
-    NormalizerConfig,
-    StopFilterConfig,
-    TokenizerConfig,
+    Pipeline,
+    PipelineConfig,
     bigram_conditional,
     builtin_stoplist,
     decode_utf8,
@@ -35,6 +34,8 @@ from igbotext import (
     trigram_conditional,
     unigram_probability,
 )
+
+from reference_pipeline import reference_filter, reference_table, reference_tokens
 
 # Letters used in Igbo spellings plus the noise classes the normalizer
 # must digest: case, tone-marked vowels, digits, listed symbols, hyphen,
@@ -53,15 +54,15 @@ words = st.text(alphabet=IGBO_LETTERS, min_size=1, max_size=6)
 streams = st.lists(words, max_size=50)
 
 
-def _stream(tokens: list[str]):
-    return tokenize(Document("d", " ".join(tokens)), TokenizerConfig(mode=Mode.PAPER_GOLDEN))
+def _stream(tokens: list[str]) -> tuple[str, ...]:
+    return tuple(tokens)
 
 
 @given(streams)
 @settings(max_examples=1000, deadline=None)
 def test_window_identity_vs_naive_oracle(tokens):
     ts = _stream(tokens)
-    t_len = len(ts.tokens)
+    t_len = len(ts)
     for n in (1, 2, 3):
         table = extract_ngrams(ts, n)
         naive = Counter(tuple(tokens[i:i + n]) for i in range(t_len - n + 1))
@@ -133,19 +134,17 @@ def test_merge_commutative_and_associative(xs, ys, zs, n):
 @settings(max_examples=200, deadline=None)
 def test_normalize_idempotent(text):
     for mode in (Mode.PAPER_GOLDEN, Mode.STRICT):
-        cfg = NormalizerConfig(mode=mode)
-        once = normalize(Document("d", text), cfg)
-        assert normalize(once, cfg) == once
+        once = normalize(text, mode)
+        assert normalize(once, mode) == once
 
 
 @given(st.lists(words, max_size=30), st.sampled_from([Mode.PAPER_GOLDEN, Mode.STRICT]))
 @settings(max_examples=200, deadline=None)
 def test_stop_filter_idempotent(tokens, mode):
     sl = builtin_stoplist()
-    cfg = StopFilterConfig(mode=mode)
-    once = remove_stopwords(_stream(tokens), sl, cfg)
-    assert remove_stopwords(once, sl, cfg) == once
-    assert Counter(once.surfaces()) <= Counter(tokens)
+    once = remove_stopwords(_stream(tokens), sl, mode)
+    assert remove_stopwords(once, sl, mode) == once
+    assert Counter(once) <= Counter(tokens)
 
 
 @given(st.text(max_size=200))
@@ -179,10 +178,9 @@ def test_unigram_product_matches_log_sum(tokens, query):
 @given(st.lists(words, max_size=20))
 @settings(max_examples=200, deadline=None)
 def test_noise_removal_keeps_plain_letter_words(tokens):
-    from igbotext import remove_noise
-
     text = " ".join(tokens)
-    assert remove_noise(text) == text
+    for mode in (Mode.PAPER_GOLDEN, Mode.STRICT):
+        assert normalize(text, mode) == text
 
 
 @given(st.text(alphabet=NOISY_ALPHABET, max_size=120))
@@ -192,3 +190,33 @@ def test_dot_below_multiset_preserved(text):
         return Counter(ch for ch in unicodedata.normalize("NFD", s) if ch == "̣")
 
     assert dots(strip_tone_marks(text)) == dots(text)
+
+
+# Noisy text plus the forms the fast path handles in bulk: NFD sequences
+# and stray combining marks, "=" + U+0338 (composes to "≠" under NFC),
+# dashes and ellipses, non-ASCII whitespace, clitics and stop words.
+NOISY_PIECES = (
+    "e\u0300", "u\u0323\u0301", "o\u0323", "\u0304", "\u0323", "=\u0338", "\u0338",
+    "—", "…", "\u00a0", "\u2003", "\u3000", "\u2028",
+    "n’", "n'", "g'", "na-", "ana-", "’s", "ahụ", "na", "makana", "ka",
+)
+noisy_texts = st.lists(
+    st.one_of(st.text(alphabet=NOISY_ALPHABET, max_size=8), st.sampled_from(NOISY_PIECES)),
+    max_size=30,
+).map("".join)
+
+_PIPELINES = {mode: Pipeline(PipelineConfig(mode=mode)) for mode in Mode}
+
+
+@given(noisy_texts)
+@settings(max_examples=500, deadline=None)
+def test_tables_match_word_by_word_reference(text):
+    for mode, pipeline in _PIPELINES.items():
+        strict = mode is Mode.STRICT
+        tokens = reference_tokens(text, strict)
+        assert tokenize(normalize(text, mode)) == tuple(tokens)
+        kept = reference_filter(tokens, pipeline.stoplist.words, strict)
+        bundle = pipeline.represent(Document("d", text))
+        for n in (1, 2, 3):
+            assert bundle.tables[n].counts == reference_table(kept, n)
+            assert bundle.tables[n].total_windows == max(0, len(kept) - n + 1)

@@ -3,28 +3,21 @@ from __future__ import annotations
 import pytest
 
 from igbotext import (
-    Document,
     EmptyStopListWarning,
     Mode,
     RawBytes,
-    StopFilterConfig,
     StopList,
     builtin_stoplist,
     load_stoplist,
     normalize,
     remove_stopwords,
     tokenize,
-    TokenizerConfig,
 )
 
 from golden_doc1 import GOLDEN_FILTERED
 
-GOLDEN_FILTER = StopFilterConfig(mode=Mode.PAPER_GOLDEN)
-STRICT_FILTER = StopFilterConfig(mode=Mode.STRICT)
-
-
-def _stream(words: list[str]):
-    return tokenize(Document("d", " ".join(words)), TokenizerConfig(mode=Mode.PAPER_GOLDEN))
+GOLDEN = Mode.PAPER_GOLDEN
+STRICT = Mode.STRICT
 
 
 def test_load_splits_on_commas_and_newlines():
@@ -61,58 +54,46 @@ def test_apostrophe_forms_unify():
 
 def test_filter_drops_list_members():
     sl = builtin_stoplist()
-    out = remove_stopwords(_stream(["anya", "makana", "projekto"]), sl, GOLDEN_FILTER)
-    assert out.surfaces() == ["anya", "projekto"]
+    out = remove_stopwords(("anya", "makana", "projekto"), sl, GOLDEN)
+    assert out == ("anya", "projekto")
 
 
 def test_filter_doc1_golden(doc1, golden_pipeline):
-    stream = tokenize(
-        normalize(doc1, golden_pipeline.normalizer_cfg), golden_pipeline.tokenizer_cfg
-    )
-    out = remove_stopwords(stream, golden_pipeline.stoplist, GOLDEN_FILTER)
-    assert len(out.tokens) == 36
-    assert tuple(out.surfaces()) == GOLDEN_FILTERED
+    stream = tokenize(normalize(doc1.text, GOLDEN))
+    out = remove_stopwords(stream, golden_pipeline.stoplist, GOLDEN)
+    assert len(out) == 36
+    assert out == GOLDEN_FILTERED
     for word in ("a", "na", "ka", "ha", "ga", "ndi", "makana", "ahụ"):
-        assert word not in out.surfaces()
+        assert word not in out
 
 
 def test_strict_filter_drops_short_tokens():
     sl = builtin_stoplist()
-    out = remove_stopwords(_stream(["hu", "gi", "anya"]), sl, STRICT_FILTER)
-    assert out.surfaces() == ["anya"]
+    out = remove_stopwords(("hu", "gi", "anya"), sl, STRICT)
+    assert out == ("anya",)
 
 
 def test_length_counts_scalars_not_bytes():
     sl = StopList(frozenset(), "mem")
-    out = remove_stopwords(_stream(["ahụ"]), sl, STRICT_FILTER)
-    assert out.surfaces() == ["ahụ"]  # three scalars, survives
+    out = remove_stopwords(("ahụ",), sl, STRICT)
+    assert out == ("ahụ",)  # three scalars, survives
 
 
 def test_filter_reindexes_from_zero():
     sl = builtin_stoplist()
-    out = remove_stopwords(_stream(["na", "anya", "na", "projekto"]), sl, GOLDEN_FILTER)
-    assert [t.index for t in out.tokens] == [0, 1]
+    out = remove_stopwords(("na", "anya", "na", "projekto"), sl, GOLDEN)
+    assert out == ("anya", "projekto")
 
 
 def test_filter_idempotent(doc1, golden_pipeline):
-    stream = tokenize(
-        normalize(doc1, golden_pipeline.normalizer_cfg), golden_pipeline.tokenizer_cfg
-    )
-    once = remove_stopwords(stream, golden_pipeline.stoplist, GOLDEN_FILTER)
-    twice = remove_stopwords(once, golden_pipeline.stoplist, GOLDEN_FILTER)
+    stream = tokenize(normalize(doc1.text, GOLDEN))
+    once = remove_stopwords(stream, golden_pipeline.stoplist, GOLDEN)
+    twice = remove_stopwords(once, golden_pipeline.stoplist, GOLDEN)
     assert twice == once
 
 
 def test_empty_list_zero_minlength_is_identity():
-    stream = _stream(["a", "na", "anya"])
+    stream = ("a", "na", "anya")
     sl = StopList(frozenset(), "mem")
-    assert remove_stopwords(stream, sl, GOLDEN_FILTER) == stream
+    assert remove_stopwords(stream, sl, GOLDEN) == stream
 
-
-def test_filter_config_forced_lengths():
-    assert GOLDEN_FILTER.min_token_length == 0
-    assert STRICT_FILTER.min_token_length == 3
-    with pytest.raises(ValueError):
-        StopFilterConfig(mode=Mode.STRICT, min_token_length=1)
-    with pytest.raises(ValueError):
-        StopFilterConfig(mode=Mode.PAPER_GOLDEN, min_token_length=3)
