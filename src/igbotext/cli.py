@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .config import Mode
@@ -138,7 +139,7 @@ def _cmd_represent(args: argparse.Namespace) -> str:
     return bundle_to_json(bundle) if args.format == "json" else bundle_to_tsv(bundle)
 
 
-def _cmd_matrix(args: argparse.Namespace) -> str:
+def _cmd_matrix(args: argparse.Namespace) -> str | Iterator[str]:
     root = Path(args.dir)
     if not root.is_dir():
         raise _CliError(EXIT_IO, f"not a directory: {root}")

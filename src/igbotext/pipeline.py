@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 from .config import Mode
@@ -21,7 +23,6 @@ from .ngrams import (
     NGram,
     NGramTable,
     extract_ngrams,
-    merge_tables,
     rank_features,
 )
 from .normalize import normalize
@@ -57,15 +58,30 @@ class RepresentationBundle:
 
 @dataclass(frozen=True)
 class DocTermMatrix:
-    """Documents × n-gram features, cells holding per-document counts."""
+    """Documents × n-gram features, stored sparse.
+
+    ``rows[i]`` maps feature index j to document i's count of
+    ``features[j]``; features a document lacks have no entry.
+    """
 
     n: int
     doc_ids: tuple[str, ...]
     features: tuple[NGram, ...]
-    cells: tuple[tuple[int, ...], ...] = field(default=())
+    rows: tuple[dict[int, int], ...] = ()
 
     def column_sums(self) -> list[int]:
-        return [sum(row[j] for row in self.cells) for j in range(len(self.features))]
+        sums = [0] * len(self.features)
+        for row in self.rows:
+            for j, count in row.items():
+                sums[j] += count
+        return sums
+
+    def dense_row(self, i: int) -> list[int]:
+        """Document i's counts for every feature, zeros included."""
+        cells = [0] * len(self.features)
+        for j, count in self.rows[i].items():
+            cells[j] = count
+        return cells
 
 
 class Pipeline:
@@ -127,26 +143,26 @@ def run_features(doc: Document, cfg: PipelineConfig) -> RepresentationBundle:
 def build_doc_term_matrix(bundles: list[RepresentationBundle], n: int) -> DocTermMatrix:
     """Corpus matrix: feature axis in merged-table rank order.
 
-    Cell (i, j) is document i's count of feature j; columns therefore sum
-    to the merged-table counts.
+    Row i maps feature index j to document i's count of feature j, so
+    columns sum to the merged-table counts.
     """
-    if not bundles:
-        return DocTermMatrix(n=n, doc_ids=(), features=(), cells=())
+    vocabulary: Counter[NGram] = Counter()
     for b in bundles:
         if n not in b.tables:
             raise OrderMismatchError(n, min(b.tables, default=0))
-    merged = NGramTable(n=n, counts={}, total_windows=0, doc_id="merged")
-    for b in bundles:
-        merged = merge_tables(merged, b.tables[n])
-    features = tuple(gram for gram, _ in rank_features(merged, len(merged.counts)))
-    cells = tuple(
-        tuple(b.tables[n].counts.get(gram, 0) for gram in features) for b in bundles
+        vocabulary.update(b.tables[n].counts)
+    total = sum(b.tables[n].total_windows for b in bundles)
+    merged = NGramTable(n=n, counts=vocabulary, total_windows=total, doc_id="merged")
+    features = tuple(gram for gram, _ in rank_features(merged, len(vocabulary)))
+    index = {gram: j for j, gram in enumerate(features)}
+    rows = tuple(
+        {index[gram]: count for gram, count in b.tables[n].counts.items()} for b in bundles
     )
     return DocTermMatrix(
         n=n,
         doc_ids=tuple(b.doc_id for b in bundles),
         features=features,
-        cells=cells,
+        rows=rows,
     )
 
 
@@ -197,14 +213,23 @@ def bundle_from_json(text: str) -> RepresentationBundle:
     return RepresentationBundle(doc_id=doc_ids.pop(), tables=tables)
 
 
-def matrix_to_tsv(m: DocTermMatrix) -> str:
+def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
+    """TSV lines, made one at a time: a header, then one row per document.
+
+    Every line is ``doc_id`` or a document id followed by ``<TAB>value``
+    per feature, so only one dense row exists at a time. An empty matrix
+    yields nothing.
+    """
     if not m.doc_ids and not m.features:
-        return ""
-    header = "doc_id\t" + "\t".join(" ".join(gram) for gram in m.features)
-    lines = [header]
-    for doc_id, row in zip(m.doc_ids, m.cells):
-        lines.append(doc_id + "\t" + "\t".join(str(c) for c in row))
-    return "".join(line + "\n" for line in lines)
+        return
+    yield "\t".join(["doc_id", *(" ".join(gram) for gram in m.features)]) + "\n"
+    zeros = ["0"] * (len(m.features) + 1)
+    for doc_id, row in zip(m.doc_ids, m.rows):
+        line = zeros.copy()
+        line[0] = doc_id
+        for j, count in row.items():
+            line[j + 1] = str(count)
+        yield "\t".join(line) + "\n"
 
 
 def matrix_to_json(m: DocTermMatrix) -> str:
@@ -212,7 +237,7 @@ def matrix_to_json(m: DocTermMatrix) -> str:
         "n": m.n,
         "docs": list(m.doc_ids),
         "features": [list(gram) for gram in m.features],
-        "cells": [list(row) for row in m.cells],
+        "cells": [m.dense_row(i) for i in range(len(m.doc_ids))],
     }
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
@@ -239,10 +264,20 @@ def features_to_json(doc_id: str, features: list[KeyFeature]) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
-def write_output(text: str, destination: str | os.PathLike[str] | None) -> None:
-    """Write to a file (UTF-8, exact bytes) or stdout when destination is None."""
+def write_output(
+    text: str | Iterable[str], destination: str | os.PathLike[str] | None
+) -> None:
+    """Write to a file (UTF-8, exact bytes) or stdout when destination is None.
+
+    ``text`` is one string, written in one call, or an iterable of
+    strings written as they are made, so that only one is alive at a time.
+    """
+    chunks = [text] if isinstance(text, str) else text
     if destination is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         sys.stdout.flush()
     else:
-        Path(destination).write_text(text, encoding="utf-8")
+        with open(destination, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)

@@ -11,11 +11,15 @@ with no regular expression or translate table:
    boundary;
 5. drop stop-list members (straight and typographic apostrophes folded)
    and, in strict mode, tokens shorter than three characters;
-6. count every window of n tokens.
+6. count every window of n tokens;
+7. for a corpus matrix, merge the documents' tables, rank the grams by
+   descending corpus count with ties in lexicographic (NFC) order, and
+   fill every cell of the dense documents × features grid.
 """
 
 from __future__ import annotations
 
+import json
 import unicodedata
 from collections import Counter
 
@@ -56,3 +60,38 @@ def reference_table(tokens: list[str], n: int) -> dict[tuple[str, ...], int]:
     for i in range(len(tokens) - n + 1):
         windows[tuple(tokens[i:i + n])] += 1
     return dict(windows)
+
+
+def reference_matrix(
+    tables: list[tuple[str, dict[tuple[str, ...], int]]],
+) -> tuple[list[str], list[tuple[str, ...]], list[list[int]]]:
+    """Dense matrix of (doc_id, table) pairs: doc ids, ranked features, cells."""
+    merged: dict[tuple[str, ...], int] = {}
+    for _, table in tables:
+        for gram, count in table.items():
+            merged[gram] = merged.get(gram, 0) + count
+    features = sorted(
+        merged, key=lambda gram: (-merged[gram], unicodedata.normalize("NFC", " ".join(gram)))
+    )
+    cells = [[table.get(gram, 0) for gram in features] for _, table in tables]
+    return [doc_id for doc_id, _ in tables], features, cells
+
+
+def reference_matrix_tsv(doc_ids, features, cells) -> str:
+    """Header ``doc_id`` plus TAB+feature each, then one such row per document."""
+    if not doc_ids:
+        return ""
+    lines = ["doc_id" + "".join("\t" + " ".join(gram) for gram in features)]
+    for doc_id, row in zip(doc_ids, cells):
+        lines.append(doc_id + "".join("\t" + str(count) for count in row))
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_matrix_json(n: int, doc_ids, features, cells) -> str:
+    payload = {
+        "n": n,
+        "docs": doc_ids,
+        "features": [list(gram) for gram in features],
+        "cells": cells,
+    }
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"

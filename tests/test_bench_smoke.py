@@ -1,12 +1,20 @@
-"""Smoke-size benchmark of Pipeline.represent on doc1 in both modes.
+"""Smoke-size benchmarks: Pipeline.represent on doc1 in both modes, and
+the document-term matrix over a small generated corpus.
 
 Timings are reported by pytest-benchmark and never asserted; the tables
-are checked against the doc1 goldens.
+are checked against the doc1 goldens and the matrix against the merged
+tables.
 """
 
 from __future__ import annotations
 
+import random
+from functools import reduce
+
 import pytest
+
+from igbotext import Document, build_doc_term_matrix, merge_tables, rank_features
+from igbotext.pipeline import matrix_to_tsv
 
 from golden_doc1 import (
     GOLDEN_BIGRAMS,
@@ -32,3 +40,23 @@ def test_represent_doc1_strict(benchmark, doc1, strict_pipeline):
     assert bundle.tables[1].counts == STRICT_UNIGRAMS
     assert bundle.tables[2].counts == oracle_table(STRICT_FILTERED, 2)
     assert bundle.tables[3].counts == oracle_table(STRICT_FILTERED, 3)
+
+
+def test_matrix_small_corpus(benchmark, doc1, golden_pipeline):
+    rng = random.Random(3)
+    words = doc1.text.split()
+    bundles = [
+        golden_pipeline.represent(Document(f"d{i}", " ".join(rng.choices(words, k=60))))
+        for i in range(40)
+    ]
+
+    def build_and_write():
+        matrix = build_doc_term_matrix(bundles, 2)
+        return matrix, "".join(matrix_to_tsv(matrix))
+
+    matrix, tsv = benchmark(build_and_write)
+    merged = reduce(merge_tables, (b.tables[2] for b in bundles))
+    ranked = rank_features(merged, len(merged.counts))
+    assert list(matrix.features) == [gram for gram, _ in ranked]
+    assert matrix.column_sums() == [count for _, count in ranked]
+    assert len(tsv.splitlines()) == 1 + len(bundles)

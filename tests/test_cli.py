@@ -92,6 +92,20 @@ def test_matrix_command(tmp_path):
     assert len(lines) == 3
 
 
+def test_matrix_without_features_has_no_empty_column(tmp_path):
+    # Neither document has two tokens left after stop-word removal.
+    (tmp_path / "a.txt").write_text("na na", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("ocha", encoding="utf-8")
+    proc = run_cli("matrix", str(tmp_path), "--n", "2")
+    assert proc.returncode == 0
+    assert proc.stdout == f"doc_id\n{tmp_path / 'a.txt'}\n{tmp_path / 'b.txt'}\n"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    proc = run_cli("matrix", str(empty), "--n", "2")
+    assert proc.returncode == 0
+    assert proc.stdout == ""
+
+
 def test_output_flag_writes_file(tmp_path):
     out = tmp_path / "uni.tsv"
     proc = run_cli("represent", DOC1, "--n", "1", "--output", str(out))

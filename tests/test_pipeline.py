@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from igbotext import (
@@ -10,6 +12,7 @@ from igbotext import (
     PipelineConfig,
     Pipeline,
     PipelineStageError,
+    RepresentationBundle,
     build_doc_term_matrix,
     bundle_from_json,
     bundle_to_json,
@@ -18,7 +21,7 @@ from igbotext import (
     table_to_tsv,
 )
 from igbotext.ngrams import NGramTable
-from igbotext.pipeline import matrix_to_json, matrix_to_tsv
+from igbotext.pipeline import matrix_to_json, matrix_to_tsv, write_output
 
 from golden_doc1 import (
     GOLDEN_BIGRAMS,
@@ -102,7 +105,7 @@ def test_matrix_single_doc(doc1, golden_pipeline):
     matrix = build_doc_term_matrix([bundle], 2)
     assert len(matrix.doc_ids) == 1
     assert len(matrix.features) == 31
-    assert sum(matrix.cells[0]) == 35
+    assert sum(matrix.rows[0].values()) == 35
     assert matrix.features[0] == ("projekto", "nkuziie")
 
 
@@ -110,14 +113,14 @@ def test_matrix_empty():
     matrix = build_doc_term_matrix([], 1)
     assert matrix.doc_ids == ()
     assert matrix.features == ()
-    assert matrix.cells == ()
+    assert matrix.rows == ()
 
 
 def test_matrix_identical_docs_give_identical_rows(doc1, golden_pipeline):
     bundle = golden_pipeline.represent(doc1)
     copy = golden_pipeline.represent(Document("copy", doc1.text))
     matrix = build_doc_term_matrix([bundle, copy], 1)
-    assert matrix.cells[0] == matrix.cells[1]
+    assert matrix.rows[0] == matrix.rows[1]
 
 
 def test_matrix_column_sums_equal_merged_counts(doc1, golden_pipeline):
@@ -129,6 +132,27 @@ def test_matrix_column_sums_equal_merged_counts(doc1, golden_pipeline):
     merged = merge_tables(bundle.tables[1], other.tables[1])
     for j, gram in enumerate(matrix.features):
         assert matrix.column_sums()[j] == merged.counts[gram]
+
+
+def test_matrix_build_and_tsv_write_stay_sparse(tmp_path):
+    # 400 documents with 10 bigrams each and no bigram shared: 4000
+    # features, so a dense matrix holds 1.6M cells, 12.8 MB of tuple slots.
+    bundles = []
+    for i in range(400):
+        counts = {(f"w{i}", f"x{k}"): 1 + k % 3 for k in range(10)}
+        table = NGramTable(2, counts, sum(counts.values()), f"d{i}")
+        bundles.append(RepresentationBundle(doc_id=f"d{i}", tables={2: table}))
+    out = tmp_path / "matrix.tsv"
+    tracemalloc.start()
+    try:
+        write_output(matrix_to_tsv(build_doc_term_matrix(bundles, 2)), out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 401
+    assert len(lines[1].split("\t")) == 4001
 
 
 def test_matrix_order_mismatch(doc1):
@@ -175,9 +199,9 @@ def test_json_single_order_shape(doc1, golden_pipeline):
 def test_matrix_serialization(doc1, golden_pipeline):
     bundle = golden_pipeline.represent(doc1)
     matrix = build_doc_term_matrix([bundle], 1)
-    tsv = matrix_to_tsv(matrix)
+    tsv = "".join(matrix_to_tsv(matrix))
     lines = tsv.splitlines()
     assert lines[0].startswith("doc_id\tnkuziie\tprojekto")
     assert len(lines) == 2
     assert matrix_to_json(matrix).endswith("\n")
-    assert matrix_to_tsv(build_doc_term_matrix([], 1)) == ""
+    assert "".join(matrix_to_tsv(build_doc_term_matrix([], 1))) == ""

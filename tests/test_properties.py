@@ -8,8 +8,10 @@ invoke the same functions directly and time them.
 from __future__ import annotations
 
 import math
+import tempfile
 import unicodedata
 from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,8 +36,16 @@ from igbotext import (
     trigram_conditional,
     unigram_probability,
 )
+from igbotext.cli import main as cli_main
 
-from reference_pipeline import reference_filter, reference_table, reference_tokens
+from reference_pipeline import (
+    reference_filter,
+    reference_matrix,
+    reference_matrix_json,
+    reference_matrix_tsv,
+    reference_table,
+    reference_tokens,
+)
 
 # Letters used in Igbo spellings plus the noise classes the normalizer
 # must digest: case, tone-marked vowels, digits, listed symbols, hyphen,
@@ -220,3 +230,46 @@ def test_tables_match_word_by_word_reference(text):
         for n in (1, 2, 3):
             assert bundle.tables[n].counts == reference_table(kept, n)
             assert bundle.tables[n].total_windows == max(0, len(kept) - n + 1)
+
+
+# Words for small corpora: a handful of plain words (so counts tie often),
+# their tone-marked and NFD spellings, stop words, clitic and hyphen forms,
+# and words the digit rule drops.
+MATRIX_WORDS = (
+    "komputa", "nkunaka", "ocha", "ụlọ", "u\u0323lo\u0323", "Ụ́LỌ̀", "akwụkwọ",
+    "akwu\u0323\u0301kwo\u0323", "ézí", "na", "nke", "ahụ", "ya", "n’ụlọ", "n'aka",
+    "na-ese", "ana-eme", "2020", "₦500", "—", "ocha.",
+)
+
+
+@st.composite
+def matrix_corpora(draw):
+    """Up to five documents (some empty), then copies of drawn documents."""
+    texts = draw(st.lists(st.lists(st.sampled_from(MATRIX_WORDS), max_size=12).map(" ".join),
+                          max_size=5))
+    if texts:
+        texts += draw(st.lists(st.sampled_from(texts), max_size=2))
+    return texts
+
+
+@given(matrix_corpora(), st.sampled_from((1, 2, 3)), st.sampled_from(("paper", "strict")))
+@settings(max_examples=150, deadline=None)
+def test_matrix_output_matches_dense_reference(texts, n, mode):
+    strict = mode == "strict"
+    stopwords = _PIPELINES[Mode.parse(mode)].stoplist.words
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        tables = []
+        for i, text in enumerate(texts):
+            path = root / f"d{i:02d}.txt"
+            path.write_text(text, encoding="utf-8")
+            kept = reference_filter(reference_tokens(text, strict), stopwords, strict)
+            tables.append((str(path), reference_table(kept, n)))
+        dense = reference_matrix(tables)
+        expected = {"tsv": reference_matrix_tsv(*dense), "json": reference_matrix_json(n, *dense)}
+        for fmt, text in expected.items():
+            out = root / f"matrix.{fmt}"
+            argv = ["matrix", tmp, "--n", str(n), "--mode", mode, "--format", fmt,
+                    "--output", str(out)]
+            assert cli_main(argv) == 0
+            assert out.read_bytes() == text.encode("utf-8")
