@@ -16,10 +16,12 @@ from pathlib import Path
 from .config import Mode
 from .errors import (
     DecodeError,
+    IgboTextError,
     LexiconFormatError,
     LexiconInvariantError,
     PipelineStageError,
 )
+from .ngrams import ORDERS
 from .normalize import normalize
 from .pipeline import (
     Pipeline,
@@ -31,7 +33,6 @@ from .pipeline import (
     features_to_tsv,
     matrix_to_json,
     matrix_to_tsv,
-    run_features,
     write_output,
 )
 from .textio import load_corpus
@@ -61,12 +62,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_orders(value: str) -> tuple[int, ...]:
     try:
-        orders = tuple(int(piece) for piece in value.split(",") if piece.strip())
+        return tuple(int(piece) for piece in value.split(",") if piece.strip())
     except ValueError:
         raise _CliError(EXIT_USAGE, f"invalid --n value {value!r}") from None
-    if not orders or any(n not in (1, 2, 3) for n in orders):
-        raise _CliError(EXIT_USAGE, f"--n must name orders from 1,2,3, got {value!r}")
-    return orders
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("represent", parents=[common], help="n-gram frequency tables")
     p.add_argument("file")
-    p.add_argument("--n", default="1,2,3", help="comma-separated orders (default: 1,2,3)")
+    p.add_argument("--n", default=",".join(map(str, ORDERS)),
+                   help="comma-separated orders (default: %(default)s)")
 
     p = sub.add_parser("matrix", parents=[common], help="document-term matrix over a directory")
     p.add_argument("dir")
@@ -105,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = (1, 2, 3)) -> PipelineConfig:
+def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = ORDERS) -> PipelineConfig:
     return PipelineConfig(
         mode=Mode.parse(args.mode),
         stoplist_path=Path(args.stopwords) if args.stopwords else None,
@@ -132,8 +131,7 @@ def _cmd_tokenize(args: argparse.Namespace) -> str:
 
 
 def _cmd_represent(args: argparse.Namespace) -> str:
-    orders = _parse_orders(args.n)
-    cfg = _pipeline_config(args, orders)
+    cfg = _pipeline_config(args, _parse_orders(args.n))
     doc = load_corpus([args.file])[0]
     bundle = Pipeline(cfg).represent(doc)
     return bundle_to_json(bundle) if args.format == "json" else bundle_to_tsv(bundle)
@@ -143,9 +141,8 @@ def _cmd_matrix(args: argparse.Namespace) -> str | Iterator[str]:
     root = Path(args.dir)
     if not root.is_dir():
         raise _CliError(EXIT_IO, f"not a directory: {root}")
-    paths = sorted(root.glob("*.txt"))
-    cfg = _pipeline_config(args, (args.n,))
-    pipeline = Pipeline(cfg)
+    paths = sorted(path for path in root.glob("*.txt") if path.is_file())
+    pipeline = Pipeline(_pipeline_config(args, (args.n,)))
     bundles = [pipeline.represent(doc) for doc in load_corpus(list(paths))]
     matrix = build_doc_term_matrix(bundles, args.n)
     return matrix_to_json(matrix) if args.format == "json" else matrix_to_tsv(matrix)
@@ -154,10 +151,9 @@ def _cmd_matrix(args: argparse.Namespace) -> str | Iterator[str]:
 def _cmd_features(args: argparse.Namespace) -> str:
     cfg = _pipeline_config(args)
     doc = load_corpus([args.file])[0]
-    bundle = run_features(doc, cfg)
-    features = bundle.features or []
+    features = Pipeline(cfg).features(doc)
     if args.format == "json":
-        return features_to_json(bundle.doc_id, features)
+        return features_to_json(doc.id, features)
     return features_to_tsv(features)
 
 
@@ -180,21 +176,14 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
-    except PipelineStageError as exc:
-        print(f"igbotext: {exc}", file=sys.stderr)
-        return _exit_code_for(exc.cause)
-    except (DecodeError, LexiconFormatError, LexiconInvariantError) as exc:
+    except (IgboTextError, OSError, ValueError) as exc:
         print(f"igbotext: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
-    except OSError as exc:
-        print(f"igbotext: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"igbotext: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def _exit_code_for(exc: Exception) -> int:
+    if isinstance(exc, PipelineStageError):
+        return _exit_code_for(exc.cause)
     if isinstance(exc, DecodeError):
         return EXIT_DECODE
     if isinstance(exc, (LexiconFormatError, LexiconInvariantError)):

@@ -20,10 +20,9 @@ class Mode(str, Enum):
 
     @classmethod
     def parse(cls, value: str) -> Mode:
-        """Accept CLI spellings: 'paper' / 'paper_golden' / 'strict'."""
-        normalized = value.strip().lower()
-        if normalized in ("paper", "paper_golden", "golden"):
+        """The mode a CLI spelling names: 'paper' or 'strict'."""
+        if value == "paper":
             return cls.PAPER_GOLDEN
-        if normalized == "strict":
+        if value == "strict":
             return cls.STRICT
         raise ValueError(f"unknown mode {value!r} (expected 'paper' or 'strict')")

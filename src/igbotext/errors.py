@@ -22,12 +22,12 @@ class DecodeError(IgboTextError):
         super().__init__(f"{source_id}: invalid UTF-8 at byte offset {offset}: {reason}")
 
 
-class InvalidOrderError(IgboTextError):
-    """N-gram order outside the supported range 1..3."""
+class InvalidOrderError(IgboTextError, ValueError):
+    """N-gram order outside the supported orders (``ngrams.ORDERS``)."""
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, orders: tuple[int, ...]) -> None:
         self.n = n
-        super().__init__(f"n-gram order must be 1, 2 or 3, got {n}")
+        super().__init__(f"n-gram order must be one of {', '.join(map(str, orders))}, got {n}")
 
 
 class EmptyModelError(IgboTextError):

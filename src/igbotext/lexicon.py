@@ -13,10 +13,8 @@ from enum import Enum
 from importlib import resources
 
 from .errors import LexiconFormatError, LexiconInvariantError
-from .ngrams import LanguageModel, NGram, _gram_sort_key
+from .ngrams import ORDERS, LanguageModel, NGram, _gram_sort_key
 from .textio import RawBytes, decode_utf8
-
-MAX_PHRASE_WORDS = 4
 
 
 class CompoundCategory(str, Enum):
@@ -51,8 +49,11 @@ class KeyFeature:
 
 def _validate_entry(entry: LexiconEntry, where: str) -> None:
     n = len(entry.phrase)
-    if not 1 <= n <= MAX_PHRASE_WORDS:
-        raise LexiconInvariantError(f"{where}: phrase must have 1..{MAX_PHRASE_WORDS} words, got {n}")
+    # A phrase is looked up in the table of its own length.
+    if n not in ORDERS:
+        raise LexiconInvariantError(
+            f"{where}: phrase must have {ORDERS[0]}..{ORDERS[-1]} words, got {n}"
+        )
     if entry.category in _SINGLE_WORD_CATEGORIES:
         if n != 1:
             raise LexiconInvariantError(
@@ -138,10 +139,7 @@ def match_key_features(m: LanguageModel, lex: list[LexiconEntry]) -> list[KeyFea
     """
     features: list[KeyFeature] = []
     for entry in lex:
-        n = len(entry.phrase)
-        if n > 3:
-            continue
-        count = m.table(n).counts.get(entry.phrase, 0)
+        count = m.table(len(entry.phrase)).counts.get(entry.phrase, 0)
         if count > 0:
             features.append(
                 KeyFeature(gram=entry.phrase, gloss=entry.gloss, category=entry.category, count=count)

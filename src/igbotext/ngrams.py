@@ -18,8 +18,9 @@ from .errors import EmptyModelError, InvalidOrderError, OrderMismatchError, Unkn
 
 NGram = tuple[str, ...]
 
-MIN_ORDER = 1
-MAX_ORDER = 3
+# The supported n-gram orders: tables, configs and lexicon phrases all
+# draw on this one range.
+ORDERS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -40,24 +41,16 @@ class LanguageModel:
     bigrams: NGramTable
     trigrams: NGramTable
 
-    @classmethod
-    def from_tokens(cls, tokens: Sequence[str], doc_id: str = "") -> LanguageModel:
-        return cls(*(extract_ngrams(tokens, n, doc_id) for n in (1, 2, 3)))
-
     def table(self, n: int) -> NGramTable:
-        if n == 1:
-            return self.unigrams
-        if n == 2:
-            return self.bigrams
-        if n == 3:
-            return self.trigrams
-        raise InvalidOrderError(n)
+        if n not in ORDERS:
+            raise InvalidOrderError(n, ORDERS)
+        return (self.unigrams, self.bigrams, self.trigrams)[ORDERS.index(n)]
 
 
 def extract_ngrams(tokens: Sequence[str], n: int, doc_id: str = "") -> NGramTable:
     """Count every contiguous window of n tokens; total = max(0, T-n+1)."""
-    if not MIN_ORDER <= n <= MAX_ORDER:
-        raise InvalidOrderError(n)
+    if n not in ORDERS:
+        raise InvalidOrderError(n, ORDERS)
     counts = Counter(zip(*(tokens[i:] for i in range(n))))
     return NGramTable(
         n=n,
@@ -137,9 +130,6 @@ def _gram_sort_key(gram: NGram) -> str:
     return unicodedata.normalize("NFC", " ".join(gram))
 
 
-def rank_features(t: NGramTable, k: int) -> list[tuple[NGram, int]]:
-    """Top-k entries by descending count, ties broken lexicographically."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    ranked = sorted(t.counts.items(), key=lambda item: (-item[1], _gram_sort_key(item[0])))
-    return ranked[:k]
+def rank_features(t: NGramTable) -> list[tuple[NGram, int]]:
+    """Every entry by descending count, ties broken lexicographically."""
+    return sorted(t.counts.items(), key=lambda item: (-item[1], _gram_sort_key(item[0])))

@@ -46,12 +46,15 @@ def strip_tone_marks(text: str) -> str:
 
 
 def normalize(text: str, mode: Mode) -> str:
-    """Normalized text, words joined by single spaces.
+    """Normalized NFC text, words joined by single spaces.
 
     Steps, in order: lowercase (Ụ→ụ included); strip tone marks; drop
     every word containing a digit; delete currency signs and the listed
     punctuation; turn apostrophes (and, in strict mode, hyphens) into
-    word boundaries. Words emptied by deletion vanish.
+    word boundaries; recompose. Words emptied by deletion vanish.
     """
     text = _DELETED.sub("", _DIGIT_WORD.sub("", strip_tone_marks(text.lower())))
-    return " ".join(_BOUNDARY[mode].sub(" ", text).split())
+    text = " ".join(_BOUNDARY[mode].sub(" ", text).split())
+    # A deleted character can leave a letter next to the combining mark
+    # that followed it ("ahu.̣" → "ahụ"), so the result is recomposed.
+    return unicodedata.normalize("NFC", text)

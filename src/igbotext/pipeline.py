@@ -13,12 +13,14 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .config import Mode
-from .errors import IgboTextError, OrderMismatchError, PipelineStageError
+from .errors import IgboTextError, InvalidOrderError, OrderMismatchError, PipelineStageError
 from .lexicon import KeyFeature, LexiconEntry, builtin_lexicon, load_lexicon, match_key_features
 from .ngrams import (
+    ORDERS,
     LanguageModel,
     NGram,
     NGramTable,
@@ -26,11 +28,12 @@ from .ngrams import (
     rank_features,
 )
 from .normalize import normalize
-from .stopwords import StopList, builtin_stoplist, load_stoplist, remove_stopwords
+from .stopwords import builtin_stoplist, load_stoplist, remove_stopwords
 from .textio import Document, read_raw
 from .tokenize import tokenize
 
-VALID_ORDERS = (1, 2, 3)
+# The largest piece written to stdout in one call (see write_output).
+STDOUT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -38,14 +41,14 @@ class PipelineConfig:
     mode: Mode
     stoplist_path: Path | None = None
     lexicon_path: Path | None = None
-    orders: tuple[int, ...] = VALID_ORDERS
+    orders: tuple[int, ...] = ORDERS
 
     def __post_init__(self) -> None:
         if not self.orders:
             raise ValueError("orders must be non-empty")
-        bad = [n for n in self.orders if n not in VALID_ORDERS]
-        if bad:
-            raise ValueError(f"unsupported n-gram orders: {bad}")
+        for n in self.orders:
+            if n not in ORDERS:
+                raise InvalidOrderError(n, ORDERS)
         object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
 
 
@@ -53,7 +56,6 @@ class PipelineConfig:
 class RepresentationBundle:
     doc_id: str
     tables: dict[int, NGramTable]
-    features: list[KeyFeature] | None = None
 
 
 @dataclass(frozen=True)
@@ -85,41 +87,50 @@ class DocTermMatrix:
 
 
 class Pipeline:
-    """Stop list and lexicon loaded once per run, shared by every document."""
+    """The stages of one run, configured once and shared by every document.
 
-    def __init__(
-        self,
-        cfg: PipelineConfig,
-        stoplist: StopList | None = None,
-        lexicon: list[LexiconEntry] | None = None,
-    ) -> None:
+    The stop list is loaded here; the lexicon (``cfg.lexicon_path``, or
+    the packaged one when none is set) on the first call to ``features``.
+    """
+
+    def __init__(self, cfg: PipelineConfig) -> None:
         self.cfg = cfg
-        self.stoplist = stoplist if stoplist is not None else self._load_stoplist()
-        if lexicon is not None:
-            self.lexicon: list[LexiconEntry] | None = lexicon
-        elif cfg.lexicon_path is not None:
-            self.lexicon = _stage("load-lexicon", load_lexicon, read_raw(cfg.lexicon_path))
+        if cfg.stoplist_path is None:
+            self.stoplist = builtin_stoplist()
         else:
-            self.lexicon = None
+            self.stoplist = _stage("load-stoplist", load_stoplist, read_raw(cfg.stoplist_path))
 
-    def _load_stoplist(self) -> StopList:
-        if self.cfg.stoplist_path is None:
-            return builtin_stoplist()
-        return _stage("load-stoplist", load_stoplist, read_raw(self.cfg.stoplist_path))
+    @cached_property
+    def lexicon(self) -> list[LexiconEntry]:
+        if self.cfg.lexicon_path is None:
+            return builtin_lexicon()
+        return _stage("load-lexicon", load_lexicon, read_raw(self.cfg.lexicon_path))
+
+    def _filtered(self, doc: Document) -> tuple[str, ...]:
+        mode = self.cfg.mode
+        return remove_stopwords(tokenize(normalize(doc.text, mode)), self.stoplist, mode)
 
     def represent(self, doc: Document) -> RepresentationBundle:
-        mode = self.cfg.mode
-        filtered = remove_stopwords(tokenize(normalize(doc.text, mode)), self.stoplist, mode)
+        """The document's n-gram table of each configured order."""
+        filtered = self._filtered(doc)
         tables = {n: extract_ngrams(filtered, n, doc.id) for n in self.cfg.orders}
-        features = None
-        if self.lexicon is not None:
-            # Key features look up all three orders; reuse the tables counted above.
-            model = LanguageModel(*(
-                tables[n] if n in tables else extract_ngrams(filtered, n, doc.id)
-                for n in VALID_ORDERS
-            ))
-            features = _stage("features", match_key_features, model, self.lexicon)
-        return RepresentationBundle(doc_id=doc.id, tables=tables, features=features)
+        return RepresentationBundle(doc_id=doc.id, tables=tables)
+
+    def features(self, doc: Document) -> list[KeyFeature]:
+        """Lexicon phrases found in the document, by descending count.
+
+        Phrases are looked up in the tables ``represent`` counts; an order
+        the config leaves out is counted here, so each order is counted once.
+        """
+        lexicon = self.lexicon  # a bad lexicon fails before any counting
+        tables = self.represent(doc).tables
+        if len(tables) < len(ORDERS):
+            filtered = self._filtered(doc)
+            tables = {
+                n: tables[n] if n in tables else extract_ngrams(filtered, n, doc.id)
+                for n in ORDERS
+            }
+        return match_key_features(LanguageModel(*(tables[n] for n in ORDERS)), lexicon)
 
 
 def _stage(name, fn, *args):
@@ -132,12 +143,6 @@ def _stage(name, fn, *args):
 def run_pipeline(doc: Document, cfg: PipelineConfig) -> RepresentationBundle:
     """One-shot convenience wrapper around Pipeline.represent."""
     return Pipeline(cfg).represent(doc)
-
-
-def run_features(doc: Document, cfg: PipelineConfig) -> RepresentationBundle:
-    """represent() with the packaged lexicon when none is configured."""
-    lexicon = None if cfg.lexicon_path is not None else builtin_lexicon()
-    return Pipeline(cfg, lexicon=lexicon).represent(doc)
 
 
 def build_doc_term_matrix(bundles: list[RepresentationBundle], n: int) -> DocTermMatrix:
@@ -153,7 +158,7 @@ def build_doc_term_matrix(bundles: list[RepresentationBundle], n: int) -> DocTer
         vocabulary.update(b.tables[n].counts)
     total = sum(b.tables[n].total_windows for b in bundles)
     merged = NGramTable(n=n, counts=vocabulary, total_windows=total, doc_id="merged")
-    features = tuple(gram for gram, _ in rank_features(merged, len(vocabulary)))
+    features = tuple(gram for gram, _ in rank_features(merged))
     index = {gram: j for j, gram in enumerate(features)}
     rows = tuple(
         {index[gram]: count for gram, count in b.tables[n].counts.items()} for b in bundles
@@ -170,17 +175,15 @@ def build_doc_term_matrix(bundles: list[RepresentationBundle], n: int) -> DocTer
 
 def table_to_tsv(t: NGramTable) -> str:
     """One "gram<TAB>count" row per entry, in rank order."""
-    rows = rank_features(t, len(t.counts))
-    return "".join(f"{' '.join(gram)}\t{count}\n" for gram, count in rows)
+    return "".join(f"{' '.join(gram)}\t{count}\n" for gram, count in rank_features(t))
 
 
 def table_to_obj(t: NGramTable) -> dict:
-    rows = rank_features(t, len(t.counts))
     return {
         "doc_id": t.doc_id,
         "n": t.n,
         "total": t.total_windows,
-        "entries": [{"gram": list(gram), "count": count} for gram, count in rows],
+        "entries": [{"gram": list(gram), "count": count} for gram, count in rank_features(t)],
     }
 
 
@@ -269,13 +272,16 @@ def write_output(
 ) -> None:
     """Write to a file (UTF-8, exact bytes) or stdout when destination is None.
 
-    ``text`` is one string, written in one call, or an iterable of
-    strings written as they are made, so that only one is alive at a time.
+    ``text`` is one string or an iterable of strings written as they are
+    made, so that only one is alive at a time. Stdout gets them in pieces
+    of at most ``STDOUT_CHUNK`` characters, so that a closed pipe raises
+    BrokenPipeError instead of truncating the output silently.
     """
     chunks = [text] if isinstance(text, str) else text
     if destination is None:
         for chunk in chunks:
-            sys.stdout.write(chunk)
+            for start in range(0, len(chunk), STDOUT_CHUNK):
+                sys.stdout.write(chunk[start:start + STDOUT_CHUNK])
         sys.stdout.flush()
     else:
         with open(destination, "w", encoding="utf-8") as fh:

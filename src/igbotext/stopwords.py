@@ -54,8 +54,7 @@ def load_stoplist(raw: RawBytes) -> StopList:
 def builtin_stoplist() -> StopList:
     """The packaged default stop-word list."""
     data = resources.files("igbotext.data").joinpath("stopwords.txt").read_bytes()
-    loaded = load_stoplist(RawBytes(data=data, source_id="builtin"))
-    return StopList(words=loaded.words, source="builtin")
+    return load_stoplist(RawBytes(data=data, source_id="builtin"))
 
 
 def remove_stopwords(tokens: tuple[str, ...], sl: StopList, mode: Mode) -> tuple[str, ...]:

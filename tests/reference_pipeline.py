@@ -8,7 +8,8 @@ with no regular expression or translate table:
 2. drop every whitespace-delimited word that holds an ASCII digit;
 3. delete currency signs and the listed punctuation inside each word;
 4. turn every apostrophe (and, in strict mode, every hyphen) into a word
-   boundary;
+   boundary, and recompose each word (a deleted character can leave a
+   letter next to a combining mark);
 5. drop stop-list members (straight and typographic apostrophes folded)
    and, in strict mode, tokens shorter than three characters;
 6. count every window of n tokens;
@@ -40,7 +41,7 @@ def reference_tokens(text: str, strict: bool) -> list[str]:
         word = "".join(ch for ch in word if ch not in DELETED)
         for mark in boundaries:
             word = word.replace(mark, " ")
-        tokens.extend(word.split())
+        tokens.extend(unicodedata.normalize("NFC", token) for token in word.split())
     return tokens
 
 

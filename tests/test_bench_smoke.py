@@ -56,7 +56,7 @@ def test_matrix_small_corpus(benchmark, doc1, golden_pipeline):
 
     matrix, tsv = benchmark(build_and_write)
     merged = reduce(merge_tables, (b.tables[2] for b in bundles))
-    ranked = rank_features(merged, len(merged.counts))
+    ranked = rank_features(merged)
     assert list(matrix.features) == [gram for gram, _ in ranked]
     assert matrix.column_sums() == [count for _, count in ranked]
     assert len(tsv.splitlines()) == 1 + len(bundles)

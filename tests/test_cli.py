@@ -178,3 +178,51 @@ def test_every_command_is_deterministic(tmp_path):
         second = run_cli(*argv)
         assert first.returncode == 0, f"{argv}: {first.stderr}"
         assert first.stdout == second.stdout
+
+
+def test_matrix_skips_directories_named_like_documents(tmp_path):
+    (tmp_path / "a.txt").write_text("komputa ocha", encoding="utf-8")
+    (tmp_path / "sub.txt").mkdir()
+    proc = run_cli("matrix", str(tmp_path), "--n", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == [f"{tmp_path / 'a.txt'}\t1\t1"]
+
+
+def test_bad_order_gives_one_message_for_represent_and_matrix(tmp_path):
+    represent = run_cli("represent", DOC1, "--n", "7")
+    matrix = run_cli("matrix", str(tmp_path), "--n", "7")
+    assert represent.returncode == matrix.returncode == 1
+    assert represent.stderr == matrix.stderr != ""
+
+
+def test_four_word_lexicon_phrase_is_a_data_error(tmp_path):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("ezi ulo oma mma na ezi ulo oma mma", encoding="utf-8")
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("ezi ulo oma mma\tgood home\tNominal\n", encoding="utf-8")
+    proc = run_cli("features", str(doc), "--lexicon", str(lexicon))
+    assert proc.returncode == 4
+    assert "got 4" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["normalize", "tokenize", "represent"])
+def test_closed_pipe_is_reported(tmp_path, command):
+    # About 300 KB of distinct words: far more output than a pipe buffers,
+    # so the writer is still writing when the reader goes away.
+    letters = "abcdefghijklmnoprstuwyz"
+    words = (
+        "".join(letters[(i // len(letters) ** k) % len(letters)] for k in range(4)) + "ka"
+        for i in range(50_000)
+    )
+    doc = tmp_path / "big.txt"
+    doc.write_text(" ".join(words), encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "igbotext", command, str(doc)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(1000)) == 1000
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    assert "Broken pipe" in stderr.decode("utf-8")

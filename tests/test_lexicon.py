@@ -52,6 +52,14 @@ def test_proper_must_be_single_word():
         _load("uche chukwu\tname\tProper\n")
 
 
+def test_phrase_longer_than_the_largest_order_is_rejected():
+    # Phrases are looked up in the table of their own length, so a
+    # four-word phrase could never be reported.
+    with pytest.raises(LexiconInvariantError) as err:
+        _load("ezi ulo oma mma\tgood home\tNominal\n")
+    assert "1..3 words, got 4" in str(err.value)
+
+
 def test_multiword_category_needs_two_words():
     with pytest.raises(LexiconInvariantError):
         _load("ugbo\tvessel\tNominal\n")

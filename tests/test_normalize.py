@@ -130,3 +130,18 @@ def test_normalize_output_is_clean(doc1):
     assert not any(m in decomposed for m in ("̀", "́", "̄"))
     assert not any(ch.isdigit() for ch in out)
     assert "-" not in out and "'" not in out and "’" not in out
+
+
+def test_deleted_character_before_dot_below_leaves_nfc():
+    # "ahu.\u0323": the listed "." sits between "u" and its dot below.
+    # Deleting it must give the NFC stop word "ahụ", not a decomposed twin.
+    for mode in (GOLDEN, STRICT):
+        assert normalize("ahu.\u0323", mode) == "ahụ"
+        assert normalize("u\"\u0323lo(\u0323)", mode) == "ụlọ"
+
+
+def test_not_equal_sign_is_not_the_listed_equals():
+    # "≠" decomposes to "=" + U+0338; neither spelling loses its "=".
+    for mode in (GOLDEN, STRICT):
+        assert normalize("a\u2260b", mode) == "a\u2260b"
+        assert normalize("a=\u0338b", mode) == "a\u2260b"

@@ -7,6 +7,7 @@ import pytest
 from igbotext import (
     DecodeError,
     Document,
+    LexiconInvariantError,
     Mode,
     OrderMismatchError,
     PipelineConfig,
@@ -36,7 +37,6 @@ def test_run_pipeline_reproduces_golden_tables(doc1):
     assert bundle.tables[1].counts == GOLDEN_UNIGRAMS
     assert bundle.tables[2].counts == GOLDEN_BIGRAMS
     assert bundle.tables[3].counts == GOLDEN_TRIGRAMS
-    assert bundle.features is None
 
 
 def test_empty_document_yields_empty_tables():
@@ -69,6 +69,51 @@ def test_strict_mode_splits_every_apostrophe():
     for text in ("n’ulo’s ulo’s", "n'ulo's ulo's"):
         bundle = run_pipeline(Document("d", text), PipelineConfig(mode=Mode.STRICT))
         assert bundle.tables[1].counts == {("ulo",): 2}
+
+
+def test_stop_word_spelled_around_a_deleted_character_is_dropped():
+    # "ahu.\u0323" normalizes to the NFC stop word "ahụ", in both modes.
+    for mode in Mode:
+        bundle = run_pipeline(Document("d", "ahu.\u0323 ụlọ ahụ"), PipelineConfig(mode=mode))
+        assert bundle.tables[1].counts == {("ụlọ",): 1}
+
+
+def test_features_use_packaged_lexicon_by_default(doc1, golden_pipeline):
+    features = golden_pipeline.features(doc1)
+    assert [(f.gram, f.count) for f in features] == [
+        (("projekto",), 4),
+        (("komputa",), 2),
+        (("komputa", "nkunaka"), 2),
+        (("okwu", "ntughe"), 1),
+        (("onyonyo", "komputa"), 1),
+    ]
+
+
+def test_features_read_the_configured_lexicon(doc1, tmp_path):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("okwu ntughe\tpassword\tNominal\n", encoding="utf-8")
+    pipeline = Pipeline(PipelineConfig(mode=Mode.PAPER_GOLDEN, lexicon_path=lexicon))
+    assert [(f.gram, f.gloss, f.count) for f in pipeline.features(doc1)] == [
+        (("okwu", "ntughe"), "password", 1)
+    ]
+
+
+def test_features_do_not_depend_on_configured_orders(doc1, golden_pipeline):
+    expected = golden_pipeline.features(doc1)
+    for orders in ((1,), (2,), (3,), (1, 3)):
+        pipeline = Pipeline(PipelineConfig(mode=Mode.PAPER_GOLDEN, orders=orders))
+        assert pipeline.features(doc1) == expected
+
+
+def test_lexicon_error_names_stage_when_features_run(doc1, tmp_path):
+    bad = tmp_path / "lex.tsv"
+    bad.write_text("ezi ulo oma mma\tgood home\tNominal\n", encoding="utf-8")
+    pipeline = Pipeline(PipelineConfig(mode=Mode.PAPER_GOLDEN, lexicon_path=bad))
+    assert pipeline.represent(doc1).tables[1].counts == GOLDEN_UNIGRAMS
+    with pytest.raises(PipelineStageError) as err:
+        pipeline.features(doc1)
+    assert err.value.stage == "load-lexicon"
+    assert isinstance(err.value.cause, LexiconInvariantError)
 
 
 def test_mode_isolation(doc1):

@@ -37,6 +37,7 @@ from igbotext import (
     unigram_probability,
 )
 from igbotext.cli import main as cli_main
+from igbotext.ngrams import ORDERS
 
 from reference_pipeline import (
     reference_filter,
@@ -68,6 +69,11 @@ def _stream(tokens: list[str]) -> tuple[str, ...]:
     return tuple(tokens)
 
 
+def _model(tokens: list[str]) -> LanguageModel:
+    stream = _stream(tokens)
+    return LanguageModel(*(extract_ngrams(stream, n) for n in ORDERS))
+
+
 @given(streams)
 @settings(max_examples=1000, deadline=None)
 def test_window_identity_vs_naive_oracle(tokens):
@@ -84,7 +90,7 @@ def test_window_identity_vs_naive_oracle(tokens):
 @given(streams)
 @settings(max_examples=200, deadline=None)
 def test_count_monotonicity(tokens):
-    m = LanguageModel.from_tokens(_stream(tokens))
+    m = _model(tokens)
     for (w1, w2), c in m.bigrams.counts.items():
         assert c <= min(m.unigrams.counts[(w1,)], m.unigrams.counts[(w2,)])
     for (w1, w2, w3), c in m.trigrams.counts.items():
@@ -99,7 +105,7 @@ def test_conditionals_sum_to_one(tokens):
     # starts no window, so conditionals over observed continuations sum to
     # (count - trailing occurrences) / count. That is exactly 1 for every
     # context that never terminates the stream.
-    m = LanguageModel.from_tokens(_stream(tokens))
+    m = _model(tokens)
     continuations: dict[str, list[str]] = {}
     for (w1, w2) in m.bigrams.counts:
         continuations.setdefault(w1, []).append(w2)
@@ -173,7 +179,7 @@ def test_utf8_roundtrip(text):
 @given(streams, st.lists(words, min_size=1, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_unigram_product_matches_log_sum(tokens, query):
-    m = LanguageModel.from_tokens(_stream(tokens))
+    m = _model(tokens)
     if m.unigrams.total_windows == 0:
         return
     probs = [unigram_probability(m, w) for w in query]
@@ -216,6 +222,23 @@ noisy_texts = st.lists(
 ).map("".join)
 
 _PIPELINES = {mode: Pipeline(PipelineConfig(mode=mode)) for mode in Mode}
+
+
+# Letters, listed characters and combining marks side by side, so that
+# deleting a character often leaves a letter next to a mark.
+marked_texts = st.lists(
+    st.sampled_from(("u", "o", "N", " ", ".", ",", "(", "$", "'", "-", "=", "≠",
+                     "\u0323", "\u0300", "\u0301", "\u0338")),
+    max_size=20,
+).map("".join)
+
+
+@given(st.one_of(noisy_texts, marked_texts, st.text(max_size=60)))
+@settings(max_examples=500, deadline=None)
+def test_normalize_output_is_nfc(text):
+    for mode in Mode:
+        out = normalize(text, mode)
+        assert unicodedata.is_normalized("NFC", out)
 
 
 @given(noisy_texts)
