@@ -71,12 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=("paper", "strict"), default="paper",
                         help="pipeline behaviour (default: paper)")
-    common.add_argument("--stopwords", metavar="PATH", default=None,
-                        help="stop-word file (default: shipped list)")
     common.add_argument("--format", choices=("tsv", "json"), default="tsv",
                         help="output format (default: tsv)")
     common.add_argument("--output", metavar="PATH", default=None,
                         help="output file (default: stdout)")
+
+    # Only the commands that drop stop words read a stop-word file.
+    counting = argparse.ArgumentParser(add_help=False, parents=[common])
+    counting.add_argument("--stopwords", metavar="PATH", default=None,
+                          help="stop-word file (default: shipped list)")
 
     parser = _Parser(prog="igbotext", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -88,16 +91,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tokenize", parents=[common], help="print the token stream")
     p.add_argument("file")
 
-    p = sub.add_parser("represent", parents=[common], help="n-gram frequency tables")
+    p = sub.add_parser("represent", parents=[counting], help="n-gram frequency tables")
     p.add_argument("file")
     p.add_argument("--n", default=",".join(map(str, ORDERS)),
                    help="comma-separated orders (default: %(default)s)")
 
-    p = sub.add_parser("matrix", parents=[common], help="document-term matrix over a directory")
+    p = sub.add_parser("matrix", parents=[counting], help="document-term matrix over a directory")
     p.add_argument("dir")
     p.add_argument("--n", type=int, default=1, help="n-gram order (default: 1)")
 
-    p = sub.add_parser("features", parents=[common], help="lexicon key features of a document")
+    p = sub.add_parser("features", parents=[counting], help="lexicon key features of a document")
     p.add_argument("file")
     p.add_argument("--lexicon", metavar="PATH", default=None,
                    help="lexicon file (default: shipped lexicon)")

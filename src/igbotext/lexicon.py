@@ -13,7 +13,7 @@ from enum import Enum
 from importlib import resources
 
 from .errors import LexiconFormatError, LexiconInvariantError
-from .ngrams import ORDERS, LanguageModel, NGram, _gram_sort_key
+from .ngrams import ORDERS, LanguageModel, NGram, rank_rows
 from .textio import RawBytes, decode_utf8
 
 
@@ -134,15 +134,15 @@ def detect_category(phrase: tuple[str, ...]) -> CompoundCategory | None:
 def match_key_features(m: LanguageModel, lex: list[LexiconEntry]) -> list[KeyFeature]:
     """Lexicon phrases found in the model's tables, with their counts.
 
-    Output is sorted by descending count, then lexicographically by the
-    space-joined gram.
+    Output is in rank order (``ngrams.rank_rows``): descending count, then
+    the space-joined gram.
     """
-    features: list[KeyFeature] = []
+    rows = []
     for entry in lex:
         count = m.table(len(entry.phrase)).counts.get(entry.phrase, 0)
         if count > 0:
-            features.append(
-                KeyFeature(gram=entry.phrase, gloss=entry.gloss, category=entry.category, count=count)
-            )
-    features.sort(key=lambda f: (-f.count, _gram_sort_key(f.gram)))
-    return features
+            rows.append((" ".join(entry.phrase), count, entry))
+    return [
+        KeyFeature(gram=entry.phrase, gloss=entry.gloss, category=entry.category, count=count)
+        for _, count, entry in rank_rows(rows)
+    ]

@@ -12,11 +12,13 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Mapping, Sequence, TypeVar
 
 from .errors import EmptyModelError, InvalidOrderError, OrderMismatchError, UnknownContextError
 
 NGram = tuple[str, ...]
+Row = TypeVar("Row", bound=tuple)
 
 # The supported n-gram orders: tables, configs and lexicon phrases all
 # draw on this one range.
@@ -126,10 +128,25 @@ def merge_tables(a: NGramTable, b: NGramTable) -> NGramTable:
     )
 
 
-def _gram_sort_key(gram: NGram) -> str:
-    return unicodedata.normalize("NFC", " ".join(gram))
+def _nfc_gram(row: tuple) -> str:
+    return unicodedata.normalize("NFC", row[0])
+
+
+def rank_rows(rows: list[Row]) -> list[Row]:
+    """Sort rows ``(joined gram, count, ...)`` into rank order, in place.
+
+    Rank order is descending count, ties in Unicode code point order of
+    the NFC form of the space-joined gram; rows equal on both keep their
+    order. Every key is a ``str`` or an ``int``, so neither sort compares
+    tuples, and the joined gram is made once, by the caller, for both the
+    sort and the output.
+    """
+    rows.sort(key=_nfc_gram)
+    rows.sort(key=itemgetter(1), reverse=True)  # stable, reversed or not
+    return rows
 
 
 def rank_features(t: NGramTable) -> list[tuple[NGram, int]]:
-    """Every entry by descending count, ties broken lexicographically."""
-    return sorted(t.counts.items(), key=lambda item: (-item[1], _gram_sort_key(item[0])))
+    """Every entry in rank order (see ``rank_rows``)."""
+    rows = rank_rows([(" ".join(gram), count, gram) for gram, count in t.counts.items()])
+    return [(gram, count) for _, count, gram in rows]

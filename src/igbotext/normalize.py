@@ -33,6 +33,23 @@ _BOUNDARY = {Mode.PAPER_GOLDEN: re.compile("['’]"), Mode.STRICT: re.compile("[
 # stays linear in the word length.
 _DIGIT_WORD = re.compile(r"(?<!\S)[^\s0-9]*[0-9]\S*")
 
+# A word that starts with a combining mark (general category Mn, Mc or
+# Me) and the space before it: the mark was cut off from its letter, or
+# stood alone. The class of the first character is a cheap superset,
+# checked character by character on each match: no mark is below U+0300
+# or in U+1E00..U+20CF (Latin Extended Additional, the block of ị, ọ, ụ
+# and ṅ, up to the currency signs).
+_MARK_LED_WORD = re.compile(" [\u0300-\u1dff\u20d0-\U0010ffff]\\S*")
+
+
+def _drop_leading_marks(match: re.Match[str]) -> str:
+    word = match.group()
+    i = 1
+    while i < len(word) and unicodedata.category(word[i])[0] == "M":
+        i += 1
+    # A word of marks alone goes with its space.
+    return " " + word[i:] if i < len(word) else ""
+
 
 def strip_tone_marks(text: str) -> str:
     """Remove grave/acute/macron combining marks, preserving the dot below.
@@ -51,10 +68,16 @@ def normalize(text: str, mode: Mode) -> str:
     Steps, in order: lowercase (Ụ→ụ included); strip tone marks; drop
     every word containing a digit; delete currency signs and the listed
     punctuation; turn apostrophes (and, in strict mode, hyphens) into
-    word boundaries; recompose. Words emptied by deletion vanish.
+    word boundaries; recompose; drop the combining marks that start a
+    word. Words emptied by deletion vanish, and so do words of marks alone.
     """
     text = _DELETED.sub("", _DIGIT_WORD.sub("", strip_tone_marks(text.lower())))
     text = " ".join(_BOUNDARY[mode].sub(" ", text).split())
     # A deleted character can leave a letter next to the combining mark
     # that followed it ("ahu.̣" → "ahụ"), so the result is recomposed.
-    return unicodedata.normalize("NFC", text)
+    text = unicodedata.normalize("NFC", text)
+    # A mark still at a word start has no letter to belong to ("u'̣lo").
+    # The pattern finds a word by the space before it, so a first word
+    # that starts with a mark is given one; other text is not copied.
+    lead = " " if text[:1] and unicodedata.category(text[0])[0] == "M" else ""
+    return _MARK_LED_WORD.sub(_drop_leading_marks, lead + text)[len(lead):]

@@ -26,6 +26,7 @@ from .ngrams import (
     NGramTable,
     extract_ngrams,
     rank_features,
+    rank_rows,
 )
 from .normalize import normalize
 from .stopwords import builtin_stoplist, load_stoplist, remove_stopwords
@@ -77,13 +78,6 @@ class DocTermMatrix:
             for j, count in row.items():
                 sums[j] += count
         return sums
-
-    def dense_row(self, i: int) -> list[int]:
-        """Document i's counts for every feature, zeros included."""
-        cells = [0] * len(self.features)
-        for j, count in self.rows[i].items():
-            cells[j] = count
-        return cells
 
 
 class Pipeline:
@@ -175,7 +169,12 @@ def build_doc_term_matrix(bundles: list[RepresentationBundle], n: int) -> DocTer
 
 def table_to_tsv(t: NGramTable) -> str:
     """One "gram<TAB>count" row per entry, in rank order."""
-    return "".join(f"{' '.join(gram)}\t{count}\n" for gram, count in rank_features(t))
+    rows = rank_rows([(" ".join(gram), count) for gram, count in t.counts.items()])
+    # Each row gives way to its line, so that rows and lines are never
+    # all alive at once.
+    for i, (joined, count) in enumerate(rows):
+        rows[i] = f"{joined}\t{count}\n"
+    return "".join(rows)
 
 
 def table_to_obj(t: NGramTable) -> dict:
@@ -216,6 +215,17 @@ def bundle_from_json(text: str) -> RepresentationBundle:
     return RepresentationBundle(doc_id=doc_ids.pop(), tables=tables)
 
 
+def _text_rows(m: DocTermMatrix) -> Iterator[list[str]]:
+    """Each document's counts as decimal strings, zeros included, one
+    dense row at a time."""
+    zeros = ["0"] * len(m.features)
+    for row in m.rows:
+        cells = zeros.copy()
+        for j, count in row.items():
+            cells[j] = str(count)
+        yield cells
+
+
 def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
     """TSV lines, made one at a time: a header, then one row per document.
 
@@ -226,23 +236,42 @@ def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
     if not m.doc_ids and not m.features:
         return
     yield "\t".join(["doc_id", *(" ".join(gram) for gram in m.features)]) + "\n"
-    zeros = ["0"] * (len(m.features) + 1)
-    for doc_id, row in zip(m.doc_ids, m.rows):
-        line = zeros.copy()
-        line[0] = doc_id
-        for j, count in row.items():
-            line[j + 1] = str(count)
-        yield "\t".join(line) + "\n"
+    for doc_id, cells in zip(m.doc_ids, _text_rows(m)):
+        yield (doc_id + "\t" + "\t".join(cells) if cells else doc_id) + "\n"
 
 
-def matrix_to_json(m: DocTermMatrix) -> str:
-    payload = {
-        "n": m.n,
-        "docs": list(m.doc_ids),
-        "features": [list(gram) for gram in m.features],
-        "cells": [m.dense_row(i) for i in range(len(m.doc_ids))],
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+# json.dumps with an indent runs the pure-Python encoder; strings are
+# encoded here by the C one and laid out by _json_array.
+_json_str = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _json_array(items: list[str], depth: int) -> str:
+    """A JSON array of encoded items, laid out as indent=2 at ``depth``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def matrix_to_json(m: DocTermMatrix) -> Iterator[str]:
+    """The bytes ``json.dumps(payload, ensure_ascii=False, indent=2)`` gives
+    for ``{n, docs, features, cells}``, made one dense row at a time.
+
+    ``cells[i]`` is document i's dense row, as ``matrix_to_tsv`` makes it.
+    """
+    yield f'{{\n  "n": {m.n},\n  "docs": '
+    yield _json_array([_json_str(doc_id) for doc_id in m.doc_ids], 1)
+    yield ',\n  "features": '
+    yield _json_array(
+        [_json_array([_json_str(word) for word in gram], 2) for gram in m.features], 1
+    )
+    yield ',\n  "cells": '
+    opening = "[\n    "
+    for cells in _text_rows(m):
+        yield opening + _json_array(cells, 2)
+        opening = ",\n    "
+    yield "[]" if not m.rows else "\n  ]"
+    yield "\n}\n"
 
 
 def features_to_tsv(features: list[KeyFeature]) -> str:

@@ -8,14 +8,17 @@ with no regular expression or translate table:
 2. drop every whitespace-delimited word that holds an ASCII digit;
 3. delete currency signs and the listed punctuation inside each word;
 4. turn every apostrophe (and, in strict mode, every hyphen) into a word
-   boundary, and recompose each word (a deleted character can leave a
-   letter next to a combining mark);
+   boundary, recompose each word (a deleted character can leave a
+   letter next to a combining mark), and drop the combining marks
+   (general category Mn, Mc or Me) that start it; a word of marks alone
+   vanishes;
 5. drop stop-list members (straight and typographic apostrophes folded)
    and, in strict mode, tokens shorter than three characters;
 6. count every window of n tokens;
-7. for a corpus matrix, merge the documents' tables, rank the grams by
-   descending corpus count with ties in lexicographic (NFC) order, and
-   fill every cell of the dense documents × features grid.
+7. rank a table: descending count, ties in code point order of the NFC
+   form of the space-joined gram, then in the table's order;
+8. for a corpus matrix, merge the documents' tables, rank the merged
+   table, and fill every cell of the dense documents × features grid.
 """
 
 from __future__ import annotations
@@ -41,7 +44,12 @@ def reference_tokens(text: str, strict: bool) -> list[str]:
         word = "".join(ch for ch in word if ch not in DELETED)
         for mark in boundaries:
             word = word.replace(mark, " ")
-        tokens.extend(unicodedata.normalize("NFC", token) for token in word.split())
+        for token in word.split():
+            token = unicodedata.normalize("NFC", token)
+            while token and unicodedata.category(token[0]).startswith("M"):
+                token = token[1:]
+            if token:
+                tokens.append(token)
     return tokens
 
 
@@ -63,6 +71,13 @@ def reference_table(tokens: list[str], n: int) -> dict[tuple[str, ...], int]:
     return dict(windows)
 
 
+def reference_rank(table: dict[tuple[str, ...], int]) -> list[tuple[tuple[str, ...], int]]:
+    """(gram, count) pairs of ``table`` in rank order, by one tuple-key sort."""
+    return sorted(
+        table.items(), key=lambda item: (-item[1], unicodedata.normalize("NFC", " ".join(item[0])))
+    )
+
+
 def reference_matrix(
     tables: list[tuple[str, dict[tuple[str, ...], int]]],
 ) -> tuple[list[str], list[tuple[str, ...]], list[list[int]]]:
@@ -71,9 +86,7 @@ def reference_matrix(
     for _, table in tables:
         for gram, count in table.items():
             merged[gram] = merged.get(gram, 0) + count
-    features = sorted(
-        merged, key=lambda gram: (-merged[gram], unicodedata.normalize("NFC", " ".join(gram)))
-    )
+    features = [gram for gram, _ in reference_rank(merged)]
     cells = [[table.get(gram, 0) for gram in features] for _, table in tables]
     return [doc_id for doc_id, _ in tables], features, cells
 

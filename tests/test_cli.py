@@ -141,6 +141,20 @@ def test_exit_code_bad_stoplist(tmp_path):
     assert run_cli("represent", DOC1, "--stopwords", str(bad)).returncode == 2
 
 
+def test_stopwords_is_an_option_only_where_stop_words_are_dropped(tmp_path, capsys):
+    from igbotext.cli import main
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    missing = str(tmp_path / "no-such-stopwords.txt")
+    for argv in (["normalize", DOC1], ["tokenize", DOC1]):
+        assert main([*argv, "--stopwords", missing]) == 1
+        assert "unrecognized arguments: --stopwords" in capsys.readouterr().err
+    for argv in (["represent", DOC1], ["features", DOC1], ["matrix", str(corpus)]):
+        assert main([*argv, "--stopwords", missing]) == 3
+        assert "no-such-stopwords.txt" in capsys.readouterr().err
+
+
 def test_exit_code_bad_lexicon(tmp_path):
     bad = tmp_path / "lex.tsv"
     bad.write_text("mmiri mmiri\twatery\tNominal\n", encoding="utf-8")

@@ -3,7 +3,7 @@ from __future__ import annotations
 import time
 import unicodedata
 
-from igbotext import Mode, normalize, strip_tone_marks
+from igbotext import Document, Mode, normalize, strip_tone_marks, tokenize
 
 GOLDEN = Mode.PAPER_GOLDEN
 STRICT = Mode.STRICT
@@ -145,3 +145,16 @@ def test_not_equal_sign_is_not_the_listed_equals():
     for mode in (GOLDEN, STRICT):
         assert normalize("a\u2260b", mode) == "a\u2260b"
         assert normalize("a=\u0338b", mode) == "a\u2260b"
+
+
+def test_combining_mark_cut_off_from_its_letter_is_dropped():
+    # The apostrophe, and in strict mode the hyphen, between a letter and
+    # its dot below leaves the mark at a word start, with no letter.
+    assert tokenize(normalize("u'\u0323lo ahu-\u0323", STRICT)) == ("u", "lo", "ahu")
+    assert tokenize(normalize("u'\u0323lo ahu-\u0323", GOLDEN)) == ("u", "lo", "ahu-\u0323")
+
+
+def test_word_of_combining_marks_alone_is_not_counted(golden_pipeline):
+    bundle = golden_pipeline.represent(Document("d", "ahu \u0323 ulo"))
+    assert bundle.tables[1].counts == {("ahu",): 1, ("ulo",): 1}
+    assert bundle.tables[2].counts == {("ahu", "ulo"): 1}

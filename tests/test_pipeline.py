@@ -179,7 +179,7 @@ def test_matrix_column_sums_equal_merged_counts(doc1, golden_pipeline):
         assert matrix.column_sums()[j] == merged.counts[gram]
 
 
-def test_matrix_build_and_tsv_write_stay_sparse(tmp_path):
+def _disjoint_bundles() -> list[RepresentationBundle]:
     # 400 documents with 10 bigrams each and no bigram shared: 4000
     # features, so a dense matrix holds 1.6M cells, 12.8 MB of tuple slots.
     bundles = []
@@ -187,17 +187,37 @@ def test_matrix_build_and_tsv_write_stay_sparse(tmp_path):
         counts = {(f"w{i}", f"x{k}"): 1 + k % 3 for k in range(10)}
         table = NGramTable(2, counts, sum(counts.values()), f"d{i}")
         bundles.append(RepresentationBundle(doc_id=f"d{i}", tables={2: table}))
-    out = tmp_path / "matrix.tsv"
+    return bundles
+
+
+def _peak_bytes_of_write(serializer, bundles, out) -> int:
     tracemalloc.start()
     try:
-        write_output(matrix_to_tsv(build_doc_term_matrix(bundles, 2)), out)
-        peak = tracemalloc.get_traced_memory()[1]
+        write_output(serializer(build_doc_term_matrix(bundles, 2)), out)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_matrix_build_and_tsv_write_stay_sparse(tmp_path):
+    out = tmp_path / "matrix.tsv"
+    peak = _peak_bytes_of_write(matrix_to_tsv, _disjoint_bundles(), out)
     assert peak < 4_000_000
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 401
     assert len(lines[1].split("\t")) == 4001
+
+
+def test_matrix_json_write_stays_sparse(tmp_path):
+    import json
+
+    out = tmp_path / "matrix.json"
+    peak = _peak_bytes_of_write(matrix_to_json, _disjoint_bundles(), out)
+    assert peak < 4_000_000
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert len(payload["cells"]) == 400
+    assert len(payload["cells"][1]) == len(payload["features"]) == 4000
+    assert sum(payload["cells"][1]) == 19
 
 
 def test_matrix_order_mismatch(doc1):
@@ -248,5 +268,5 @@ def test_matrix_serialization(doc1, golden_pipeline):
     lines = tsv.splitlines()
     assert lines[0].startswith("doc_id\tnkuziie\tprojekto")
     assert len(lines) == 2
-    assert matrix_to_json(matrix).endswith("\n")
+    assert "".join(matrix_to_json(matrix)).endswith("\n")
     assert "".join(matrix_to_tsv(build_doc_term_matrix([], 1))) == ""

@@ -13,12 +13,14 @@ import unicodedata
 from collections import Counter
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igbotext import (
+    CompoundCategory,
     Document,
     LanguageModel,
+    LexiconEntry,
     Mode,
     Pipeline,
     PipelineConfig,
@@ -27,23 +29,28 @@ from igbotext import (
     decode_utf8,
     encode_utf8,
     extract_ngrams,
+    match_key_features,
     merge_tables,
     normalize,
+    rank_features,
     remove_stopwords,
     sequence_probability_unigram,
     strip_tone_marks,
+    table_to_tsv,
     tokenize,
     trigram_conditional,
     unigram_probability,
 )
 from igbotext.cli import main as cli_main
-from igbotext.ngrams import ORDERS
+from igbotext.ngrams import ORDERS, NGramTable
+from igbotext.pipeline import table_to_obj
 
 from reference_pipeline import (
     reference_filter,
     reference_matrix,
     reference_matrix_json,
     reference_matrix_tsv,
+    reference_rank,
     reference_table,
     reference_tokens,
 )
@@ -241,6 +248,14 @@ def test_normalize_output_is_nfc(text):
         assert unicodedata.is_normalized("NFC", out)
 
 
+@given(st.one_of(noisy_texts, marked_texts, st.text(max_size=60)))
+@settings(max_examples=500, deadline=None)
+def test_no_token_starts_with_a_combining_mark(text):
+    for mode in Mode:
+        for token in tokenize(normalize(text, mode)):
+            assert not unicodedata.category(token[0]).startswith("M"), token
+
+
 @given(noisy_texts)
 @settings(max_examples=500, deadline=None)
 def test_tables_match_word_by_word_reference(text):
@@ -296,3 +311,43 @@ def test_matrix_output_matches_dense_reference(texts, n, mode):
                     "--output", str(out)]
             assert cli_main(argv) == 0
             assert out.read_bytes() == text.encode("utf-8")
+
+
+# Words of arbitrary tables: NFC and NFD spellings of one word, characters
+# below U+0020, and spaces, so that two grams can join to the same string.
+rank_words = st.text(alphabet="ab \x01\x1f\u00e9e\u0301\u0323\u1ee5", max_size=3)
+
+
+@st.composite
+def arbitrary_tables(draw):
+    """An order and a table of that order; counts of 1 to 3 tie often."""
+    n = draw(st.sampled_from(ORDERS))
+    grams = draw(st.lists(st.tuples(*[rank_words] * n), max_size=40, unique=True))
+    return n, {gram: draw(st.integers(1, 3)) for gram in grams}
+
+
+@given(arbitrary_tables())
+@example((1, {}))
+@example((2, {("a b", "c"): 1, ("a", "b c"): 1, ("b", "a"): 1}))
+@example((2, {("a", "b c"): 2, ("a b", "c"): 2, ("a", "\x01"): 2}))
+@example((1, {("e\u0301",): 1, ("\u00e9",): 1, ("f",): 1, ("e",): 1}))
+@settings(max_examples=300, deadline=None)
+def test_every_ranking_matches_the_reference_sort(n_table):
+    n, counts = n_table
+    expected = reference_rank(counts)
+    table = NGramTable(n, counts, sum(counts.values()), "d")
+    assert rank_features(table) == expected
+    tsv = "".join(f"{' '.join(gram)}\t{count}\n" for gram, count in expected)
+    assert table_to_tsv(table).encode("utf-8") == tsv.encode("utf-8")
+    assert table_to_obj(table)["entries"] == [
+        {"gram": list(gram), "count": count} for gram, count in expected
+    ]
+    # One lexicon entry per gram, plus one that is not in the table.
+    lexicon = [
+        LexiconEntry(phrase=gram, gloss=str(i), category=CompoundCategory.NOMINAL)
+        for i, gram in enumerate([*counts, ("absent",) * n])
+    ]
+    model = LanguageModel(*(table if k == n else NGramTable(k, {}, 0, "d") for k in ORDERS))
+    features = match_key_features(model, lexicon)
+    assert [(f.gram, f.count) for f in features] == expected
+    assert [int(f.gloss) for f in features] == [list(counts).index(g) for g, _ in expected]
