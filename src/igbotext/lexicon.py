@@ -8,12 +8,16 @@ knowledge carried by the shipped lexicon file.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from itertools import compress, count
 
 from .errors import LexiconFormatError, LexiconInvariantError
-from .ngrams import ORDERS, LanguageModel, NGram, rank_rows
+from .ngrams import ORDERS, NGram, rank_rows
+from .normalize import strip_tone_marks
 from .textio import RawBytes, decode_utf8
 
 
@@ -39,7 +43,8 @@ class LexiconEntry:
 
 @dataclass(frozen=True)
 class KeyFeature:
-    """A lexicon phrase observed in a document's n-gram tables."""
+    """A lexicon phrase found in a document: ``count`` is the number of
+    windows of the stop-filtered token stream that spell it."""
 
     gram: NGram
     gloss: str
@@ -49,7 +54,8 @@ class KeyFeature:
 
 def _validate_entry(entry: LexiconEntry, where: str) -> None:
     n = len(entry.phrase)
-    # A phrase is looked up in the table of its own length.
+    # A phrase is counted as the windows of its own length, so its count
+    # is also an entry of the n-gram table of that order.
     if n not in ORDERS:
         raise LexiconInvariantError(
             f"{where}: phrase must have {ORDERS[0]}..{ORDERS[-1]} words, got {n}"
@@ -77,8 +83,10 @@ def load_lexicon(raw: RawBytes) -> list[LexiconEntry]:
     """Parse a lexicon file: one TAB-separated entry per non-empty line.
 
     Format: phrase (space-separated words) TAB gloss TAB category name.
-    Lines starting with '#' are ignored. Violations of the category rules
-    raise LexiconInvariantError naming the line.
+    Lines starting with '#' are ignored. Phrases are folded as text is
+    (lowercase, tone marks stripped, NFC), so that any spelling of a
+    phrase matches its normalized tokens. Violations of the category
+    rules raise LexiconInvariantError naming the line.
     """
     text = decode_utf8(raw).text
     entries: list[LexiconEntry] = []
@@ -97,7 +105,7 @@ def load_lexicon(raw: RawBytes) -> list[LexiconEntry]:
         except ValueError:
             raise LexiconFormatError(f"{where}: unknown category {category_name!r}") from None
         entry = LexiconEntry(
-            phrase=tuple(word.lower() for word in phrase_text.split()),
+            phrase=tuple(strip_tone_marks(phrase_text.lower()).split()),
             gloss=gloss,
             category=category,
         )
@@ -131,18 +139,29 @@ def detect_category(phrase: tuple[str, ...]) -> CompoundCategory | None:
     return None
 
 
-def match_key_features(m: LanguageModel, lex: list[LexiconEntry]) -> list[KeyFeature]:
-    """Lexicon phrases found in the model's tables, with their counts.
+def match_key_features(tokens: Sequence[str], lex: list[LexiconEntry]) -> list[KeyFeature]:
+    """Lexicon phrases found in a stop-filtered token stream, with counts.
 
-    Output is in rank order (``ngrams.rank_rows``): descending count, then
-    the space-joined gram.
+    A phrase of n words counts every window of n tokens that spells it,
+    overlapping ones included (``a a a`` holds ``a a`` twice): the count
+    of the phrase in the stream's order-n table. Every entry whose phrase
+    occurs is reported, a duplicate entry as often as it is listed. Output
+    is in rank order (``ngrams.rank_rows``): descending count, then the
+    space-joined gram; entries equal on both keep their lexicon order.
     """
-    rows = []
+    tokens = tuple(tokens)
+    by_first: dict[str, set[NGram]] = {}
     for entry in lex:
-        count = m.table(len(entry.phrase)).counts.get(entry.phrase, 0)
-        if count > 0:
-            rows.append((" ".join(entry.phrase), count, entry))
+        by_first.setdefault(entry.phrase[0], set()).add(entry.phrase)
+    found: Counter[NGram] = Counter()
+    # Only positions whose token starts some phrase are visited; the walk
+    # that finds them runs in C.
+    for i in compress(count(), map(by_first.__contains__, tokens)):
+        for phrase in by_first[tokens[i]]:
+            if tokens[i:i + len(phrase)] == phrase:
+                found[phrase] += 1
+    rows = [(" ".join(e.phrase), found[e.phrase], e) for e in lex if e.phrase in found]
     return [
-        KeyFeature(gram=entry.phrase, gloss=entry.gloss, category=entry.category, count=count)
-        for _, count, entry in rank_rows(rows)
+        KeyFeature(gram=entry.phrase, gloss=entry.gloss, category=entry.category, count=n)
+        for _, n, entry in rank_rows(rows)
     ]

@@ -26,12 +26,16 @@ _PUNCTUATION = ":;?!\"{}+&[]<>/@*=^%,.()" + "“”"  # incl. “ ”
 _TONE = re.compile(f"[{TONE_MARKS}]")
 _DELETED = re.compile(f"[{re.escape(_CURRENCY + _PUNCTUATION)}]")
 # Apostrophes split words in both modes; strict mode splits hyphens too.
-_BOUNDARY = {Mode.PAPER_GOLDEN: re.compile("['’]"), Mode.STRICT: re.compile("['’-]")}
+# One str.replace per character beats a regex class here.
+_BOUNDARY = {Mode.PAPER_GOLDEN: "'’", Mode.STRICT: "'’-"}
 
 # A whitespace-delimited word holding an ASCII digit (numbers, dates,
-# times). The lookbehind anchors each match at a word start, so the scan
-# stays linear in the word length.
-_DIGIT_WORD = re.compile(r"(?<!\S)[^\s0-9]*[0-9]\S*")
+# times), with the whitespace before it. Matches start only at
+# whitespace, so the text is searched with a space in front. The
+# lookahead takes the word's digit-free prefix once and is never
+# re-entered, so a word is scanned once; this is the atomic group
+# ``(?>[^\s0-9]*)`` spelled for Python 3.10.
+_DIGIT_WORD = re.compile(r"\s(?=([^\s0-9]*))\1[0-9]\S*")
 
 # A word that starts with a combining mark (general category Mn, Mc or
 # Me) and the space before it: the mark was cut off from its letter, or
@@ -71,8 +75,12 @@ def normalize(text: str, mode: Mode) -> str:
     word boundaries; recompose; drop the combining marks that start a
     word. Words emptied by deletion vanish, and so do words of marks alone.
     """
-    text = _DELETED.sub("", _DIGIT_WORD.sub("", strip_tone_marks(text.lower())))
-    text = " ".join(_BOUNDARY[mode].sub(" ", text).split())
+    # A digit word goes with the whitespace before it, which a space
+    # replaces; split() below drops the extra spaces.
+    text = _DELETED.sub("", _DIGIT_WORD.sub(" ", " " + strip_tone_marks(text.lower())))
+    for boundary in _BOUNDARY[mode]:
+        text = text.replace(boundary, " ")
+    text = " ".join(text.split())
     # A deleted character can leave a letter next to the combining mark
     # that followed it ("ahu.̣" → "ahụ"), so the result is recomposed.
     text = unicodedata.normalize("NFC", text)

@@ -19,15 +19,7 @@ from pathlib import Path
 from .config import Mode
 from .errors import IgboTextError, InvalidOrderError, OrderMismatchError, PipelineStageError
 from .lexicon import KeyFeature, LexiconEntry, builtin_lexicon, load_lexicon, match_key_features
-from .ngrams import (
-    ORDERS,
-    LanguageModel,
-    NGram,
-    NGramTable,
-    extract_ngrams,
-    rank_features,
-    rank_rows,
-)
+from .ngrams import ORDERS, NGram, NGramTable, extract_ngrams, rank_features, rank_rows
 from .normalize import normalize
 from .stopwords import builtin_stoplist, load_stoplist, remove_stopwords
 from .textio import Document, read_raw
@@ -113,18 +105,11 @@ class Pipeline:
     def features(self, doc: Document) -> list[KeyFeature]:
         """Lexicon phrases found in the document, by descending count.
 
-        Phrases are looked up in the tables ``represent`` counts; an order
-        the config leaves out is counted here, so each order is counted once.
+        Each phrase is counted as windows of the stop-filtered token
+        stream, as the tables count them; ``cfg.orders`` plays no part.
         """
         lexicon = self.lexicon  # a bad lexicon fails before any counting
-        tables = self.represent(doc).tables
-        if len(tables) < len(ORDERS):
-            filtered = self._filtered(doc)
-            tables = {
-                n: tables[n] if n in tables else extract_ngrams(filtered, n, doc.id)
-                for n in ORDERS
-            }
-        return match_key_features(LanguageModel(*(tables[n] for n in ORDERS)), lexicon)
+        return match_key_features(self._filtered(doc), lexicon)
 
 
 def _stage(name, fn, *args):

@@ -15,6 +15,7 @@ from importlib import resources
 
 from .config import Mode
 from .errors import EmptyStopListWarning
+from .normalize import strip_tone_marks
 from .textio import RawBytes, decode_utf8
 
 # Strict mode drops tokens shorter than this many scalar values.
@@ -37,12 +38,14 @@ class StopList:
 def load_stoplist(raw: RawBytes) -> StopList:
     """Parse a stop-word file: entries split on commas and line breaks.
 
-    Entries are trimmed, lowercased and deduplicated; a zero-entry result
-    emits EmptyStopListWarning rather than failing.
+    Entries are trimmed, folded as text is (lowercase, tone marks
+    stripped, NFC) and deduplicated, so that any spelling of a word
+    removes its normalized token; a zero-entry result emits
+    EmptyStopListWarning rather than failing.
     """
     text = decode_utf8(raw).text
     entries = {
-        _fold_apostrophes(piece.strip().lower())
+        _fold_apostrophes(strip_tone_marks(piece.strip().lower()))
         for piece in re.split(r"[,\r\n]", text)
         if piece.strip()
     }

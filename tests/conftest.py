@@ -9,7 +9,11 @@ from igbotext import (
     Mode,
     Pipeline,
     PipelineConfig,
+    builtin_stoplist,
     load_corpus,
+    normalize,
+    remove_stopwords,
+    tokenize,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -34,6 +38,13 @@ def strict_pipeline():
 @pytest.fixture(scope="session")
 def doc1_bundle(doc1, golden_pipeline):
     return golden_pipeline.represent(doc1)
+
+
+@pytest.fixture(scope="session")
+def doc1_filtered(doc1):
+    """doc1's stop-filtered paper-mode token stream: what its tables count."""
+    mode = Mode.PAPER_GOLDEN
+    return remove_stopwords(tokenize(normalize(doc1.text, mode)), builtin_stoplist(), mode)
 
 
 @pytest.fixture(scope="session")

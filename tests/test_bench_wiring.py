@@ -40,8 +40,8 @@ TEXT_STAGES = {"cli", "textio", "pipeline.represent", "normalize", "tokenize", "
 
 EXPECTED = {
     "represent": TEXT_STAGES | {"ngrams.n1", "ngrams.n2", "ngrams.n3", "pipeline.serialize"},
-    "features": TEXT_STAGES
-    | {"ngrams.n1", "ngrams.n2", "ngrams.n3", "lexicon", "pipeline.serialize"},
+    # Features are matched in the filtered token stream: no tables.
+    "features": (TEXT_STAGES - {"pipeline.represent"}) | {"lexicon", "pipeline.serialize"},
     "matrix": TEXT_STAGES | {"ngrams.n2", "pipeline.matrix", "pipeline.serialize"},
 }
 

@@ -79,6 +79,23 @@ def test_digit_rule_is_linear_in_word_length():
     assert time.perf_counter() - start < 5.0
 
 
+def test_digit_word_after_any_whitespace_vanishes():
+    # A line feed, an ideographic space and the file separator all end a
+    # word for str.split, so the digit word after each one goes.
+    for space in ("\n", "\u3000", "\x1c"):
+        assert normalize(f"taa{space}12b bu", GOLDEN) == "taa bu"
+
+
+def test_digit_word_at_the_start_vanishes():
+    assert normalize("2016 taa", GOLDEN) == "taa"
+    assert normalize("ọ2 taa 1 2 bu", STRICT) == "taa bu"
+
+
+def test_digit_word_alone_leaves_nothing():
+    assert normalize("a1", GOLDEN) == ""
+    assert normalize("12/05/2016", STRICT) == ""
+
+
 def test_split_hyphens_strict():
     assert normalize("nje-ozi", STRICT) == "nje ozi"
 

@@ -98,6 +98,13 @@ def test_features_read_the_configured_lexicon(doc1, tmp_path):
     ]
 
 
+def test_features_match_any_spelling_of_a_lexicon_phrase(doc1, tmp_path):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("Kòmpu\u0301ta NKUNAKA\tlaptop\tNominal\n", encoding="utf-8")
+    pipeline = Pipeline(PipelineConfig(mode=Mode.PAPER_GOLDEN, lexicon_path=lexicon))
+    assert [(f.gram, f.count) for f in pipeline.features(doc1)] == [(("komputa", "nkunaka"), 2)]
+
+
 def test_features_do_not_depend_on_configured_orders(doc1, golden_pipeline):
     expected = golden_pipeline.features(doc1)
     for orders in ((1,), (2,), (3,), (1, 3)):

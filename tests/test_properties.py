@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from igbotext import (
     CompoundCategory,
     Document,
+    KeyFeature,
     LanguageModel,
     LexiconEntry,
     Mode,
@@ -342,12 +343,61 @@ def test_every_ranking_matches_the_reference_sort(n_table):
     assert table_to_obj(table)["entries"] == [
         {"gram": list(gram), "count": count} for gram, count in expected
     ]
-    # One lexicon entry per gram, plus one that is not in the table.
+    # One lexicon entry per gram, plus one that is not in the stream. Each
+    # gram occurs `count` times in the stream, each time followed by n
+    # tokens that are in no gram, so no other window spells a gram.
     lexicon = [
         LexiconEntry(phrase=gram, gloss=str(i), category=CompoundCategory.NOMINAL)
         for i, gram in enumerate([*counts, ("absent",) * n])
     ]
-    model = LanguageModel(*(table if k == n else NGramTable(k, {}, 0, "d") for k in ORDERS))
-    features = match_key_features(model, lexicon)
+    gap = ("|",) * n
+    stream = tuple(
+        word for gram, count in counts.items() for _ in range(count) for word in (*gram, *gap)
+    )
+    features = match_key_features(stream, lexicon)
     assert [(f.gram, f.count) for f in features] == expected
     assert [int(f.gloss) for f in features] == [list(counts).index(g) for g, _ in expected]
+
+
+# Tokens of a few letters, "ụ" spelled both NFC and NFD, so that phrases
+# repeat, overlap and differ only in their spelling.
+match_words = st.text(alphabet="abu\u0323\u1ee5", min_size=1, max_size=2)
+
+
+@st.composite
+def streams_and_lexicons(draw):
+    """A token stream and phrases of 1-3 words: windows of the stream,
+    arbitrary (mostly absent) phrases, and duplicates of both."""
+    tokens = tuple(draw(st.lists(match_words, max_size=30)))
+    phrases = st.lists(match_words, min_size=1, max_size=len(ORDERS)).map(tuple)
+    windows = [tokens[i:i + n] for n in ORDERS for i in range(len(tokens) - n + 1)]
+    if windows:
+        phrases = st.one_of(phrases, st.sampled_from(windows))
+    lexicon = draw(st.lists(phrases, max_size=12))
+    if lexicon:
+        lexicon += draw(st.lists(st.sampled_from(lexicon), max_size=4))
+    return tokens, lexicon
+
+
+@given(streams_and_lexicons())
+@example((("a", "a", "a"), [("a", "a")]))
+@example((("b", "a", "b", "c"), [("b", "c"), ("c",), ("a", "b", "c")]))
+@example((("a", "u\u0323", "a", "\u1ee5"), [("a", "\u1ee5"), ("u\u0323",), ("a", "\u1ee5")]))
+@settings(max_examples=300, deadline=None)
+def test_key_features_are_the_table_lookups(stream_and_lexicon):
+    tokens, phrases = stream_and_lexicon
+    lexicon = [
+        LexiconEntry(phrase=phrase, gloss=str(i), category=CompoundCategory.NOMINAL)
+        for i, phrase in enumerate(phrases)
+    ]
+    tables = {n: extract_ngrams(tokens, n).counts for n in ORDERS}
+    looked_up = [(e, tables[len(e.phrase)].get(e.phrase, 0)) for e in lexicon]
+    # Stable, so entries equal on count and gram keep their lexicon order.
+    ranked = sorted(
+        ((e, count) for e, count in looked_up if count),
+        key=lambda row: (-row[1], unicodedata.normalize("NFC", " ".join(row[0].phrase))),
+    )
+    assert match_key_features(tokens, lexicon) == [
+        KeyFeature(gram=e.phrase, gloss=e.gloss, category=e.category, count=count)
+        for e, count in ranked
+    ]

@@ -30,6 +30,20 @@ def test_load_lowercases_and_dedupes():
     assert sl.words == frozenset({"ndi", "nke"})
 
 
+def test_load_folds_entries_like_text():
+    # NFD, tone-marked and upper-case spellings of one word are one entry:
+    # the token that normalize makes of them.
+    sl = load_stoplist(RawBytes("ahu\u0323, Àhụ, A\u0300HU\u0323, àhụ́".encode(), "mem"))
+    assert sl.words == frozenset({"ahụ"})
+
+
+@pytest.mark.parametrize("entry", ["ahu\u0323", "Àhụ"])
+def test_any_spelling_of_an_entry_removes_its_token(entry):
+    sl = load_stoplist(RawBytes(entry.encode(), "mem"))
+    tokens = tokenize(normalize("Ahụ ụlọ àhụ", GOLDEN))
+    assert remove_stopwords(tokens, sl, GOLDEN) == ("ụlọ",)
+
+
 def test_load_empty_warns():
     with pytest.warns(EmptyStopListWarning):
         sl = load_stoplist(RawBytes(b"", "mem"))
