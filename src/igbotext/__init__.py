@@ -55,7 +55,7 @@ from .pipeline import (
     table_to_tsv,
 )
 from .stopwords import StopList, builtin_stoplist, load_stoplist, remove_stopwords
-from .textio import Document, RawBytes, decode_utf8, encode_utf8, load_corpus, read_raw
+from .textio import Document, RawBytes, decode_utf8, load_corpus, read_raw
 from .tokenize import tokenize
 
 __version__ = "0.1.0"
@@ -65,7 +65,6 @@ __all__ = [
     "Document",
     "RawBytes",
     "decode_utf8",
-    "encode_utf8",
     "load_corpus",
     "read_raw",
     "normalize",

@@ -14,6 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 
 from .config import Mode
@@ -63,13 +64,6 @@ class DocTermMatrix:
     doc_ids: tuple[str, ...]
     features: tuple[NGram, ...]
     rows: tuple[dict[int, int], ...] = ()
-
-    def column_sums(self) -> list[int]:
-        sums = [0] * len(self.features)
-        for row in self.rows:
-            for j, count in row.items():
-                sums[j] += count
-        return sums
 
 
 class Pipeline:
@@ -200,29 +194,45 @@ def bundle_from_json(text: str) -> RepresentationBundle:
     return RepresentationBundle(doc_id=doc_ids.pop(), tables=tables)
 
 
-def _text_rows(m: DocTermMatrix) -> Iterator[list[str]]:
-    """Each document's counts as decimal strings, zeros included, one
-    dense row at a time."""
-    zeros = ["0"] * len(m.features)
-    for row in m.rows:
-        cells = zeros.copy()
-        for j, count in row.items():
-            cells[j] = str(count)
-        yield cells
+def _dense_rows(
+    m: DocTermMatrix, heads: Iterable[str], sep: str, tail: str, skip: int = 0
+) -> Iterator[str]:
+    """One line per document: its head, ``sep + count`` for every feature,
+    then ``tail``, with the first ``skip`` characters after the head left out.
+
+    Every row is cut from one line of zeros, ``(sep + "0") * len(features)``,
+    in which cell j is one character at ``j * (len(sep) + 1) + len(sep)``.
+    The row's counts go in at its non-zero cells, so the work per row grows
+    with those cells, not with the number of features.
+    """
+    line = (sep + "0") * len(m.features)
+    lead = len(sep)
+    width = lead + 1
+    for head, row in zip(heads, m.rows):
+        pieces = [head]
+        start = skip
+        for j in sorted(row):
+            cut = j * width + lead
+            pieces.append(line[start:cut])
+            pieces.append(str(row[j]))
+            start = cut + 1
+        pieces.append(line[start:])
+        pieces.append(tail)
+        yield "".join(pieces)
 
 
 def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
     """TSV lines, made one at a time: a header, then one row per document.
 
     Every line is ``doc_id`` or a document id followed by ``<TAB>value``
-    per feature, so only one dense row exists at a time. An empty matrix
-    yields nothing.
+    per feature. Each row is cut from one line of zeros (``_dense_rows``),
+    so only one dense row exists at a time and its work follows its
+    non-zero cells. An empty matrix yields nothing.
     """
     if not m.doc_ids and not m.features:
         return
     yield "\t".join(["doc_id", *(" ".join(gram) for gram in m.features)]) + "\n"
-    for doc_id, cells in zip(m.doc_ids, _text_rows(m)):
-        yield (doc_id + "\t" + "\t".join(cells) if cells else doc_id) + "\n"
+    yield from _dense_rows(m, m.doc_ids, "\t", "\n")
 
 
 # json.dumps with an indent runs the pure-Python encoder; strings are
@@ -242,7 +252,9 @@ def matrix_to_json(m: DocTermMatrix) -> Iterator[str]:
     """The bytes ``json.dumps(payload, ensure_ascii=False, indent=2)`` gives
     for ``{n, docs, features, cells}``, made one dense row at a time.
 
-    ``cells[i]`` is document i's dense row, as ``matrix_to_tsv`` makes it.
+    ``cells[i]`` is document i's dense row. Like a TSV row, it is cut from
+    one line of zeros, ``",\\n      0"`` per feature (``_dense_rows``),
+    whose first comma gives way to the row's ``[``.
     """
     yield f'{{\n  "n": {m.n},\n  "docs": '
     yield _json_array([_json_str(doc_id) for doc_id in m.doc_ids], 1)
@@ -250,12 +262,10 @@ def matrix_to_json(m: DocTermMatrix) -> Iterator[str]:
     yield _json_array(
         [_json_array([_json_str(word) for word in gram], 2) for gram in m.features], 1
     )
-    yield ',\n  "cells": '
-    opening = "[\n    "
-    for cells in _text_rows(m):
-        yield opening + _json_array(cells, 2)
-        opening = ",\n    "
-    yield "[]" if not m.rows else "\n  ]"
+    yield ',\n  "cells": ['
+    heads = chain(["\n    ["], repeat(",\n    ["))
+    yield from _dense_rows(m, heads, ",\n      ", "\n    ]" if m.features else "]", skip=1)
+    yield "\n  ]" if m.rows else "]"
     yield "\n}\n"
 
 

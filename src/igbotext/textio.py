@@ -1,4 +1,4 @@
-"""UTF-8 decoding/encoding of Igbo text and whole-file corpus ingestion.
+"""UTF-8 decoding of Igbo text and whole-file corpus ingestion.
 
 Decoding is strict: an invalid byte sequence raises DecodeError with the
 byte offset, never a replacement character. A leading byte-order mark is
@@ -49,11 +49,6 @@ def decode_utf8(raw: RawBytes) -> Document:
     if text.startswith(_BOM):
         text = text[len(_BOM):]
     return Document(id=raw.source_id, text=text)
-
-
-def encode_utf8(doc: Document) -> RawBytes:
-    """Encode a Document back to UTF-8 bytes."""
-    return RawBytes(data=doc.text.encode("utf-8"), source_id=doc.id)
 
 
 def read_raw(path: str | os.PathLike[str]) -> RawBytes:
