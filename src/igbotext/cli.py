@@ -22,7 +22,7 @@ from .errors import (
     PipelineStageError,
 )
 from .ngrams import ORDERS
-from .normalize import normalize
+from .normalize import normalize, tokenize
 from .pipeline import (
     Pipeline,
     PipelineConfig,
@@ -36,7 +36,6 @@ from .pipeline import (
     write_output,
 )
 from .textio import load_corpus
-from .tokenize import tokenize
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -1,9 +1,9 @@
 """Compound-word lexicon: taxonomy, file loading, and key-feature matching.
 
 Compound categories follow the six-way analysis of Igbo compounding.
-Only two categories are detectable from the surface alone (exact word
-repetition and the interior conjunction "na"); the rest are lexical
-knowledge carried by the shipped lexicon file.
+Only two categories show on the surface, and the loader checks both:
+exact word repetition (Duplicated) and the interior conjunction "na"
+(Coordinate). The rest are lexical knowledge carried by the lexicon file.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from itertools import compress, count
 
 from .errors import LexiconFormatError, LexiconInvariantError
 from .ngrams import ORDERS, NGram, rank_rows
 from .normalize import strip_tone_marks
-from .textio import RawBytes, decode_utf8
+from .textio import decode_utf8
 
 
 class CompoundCategory(str, Enum):
@@ -79,7 +78,7 @@ def _validate_entry(entry: LexiconEntry, where: str) -> None:
         raise LexiconInvariantError(f"{where}: Coordinate compounds join words with interior 'na'")
 
 
-def load_lexicon(raw: RawBytes) -> list[LexiconEntry]:
+def load_lexicon(data: bytes, source_id: str) -> list[LexiconEntry]:
     """Parse a lexicon file: one TAB-separated entry per non-empty line.
 
     Format: phrase (space-separated words) TAB gloss TAB category name.
@@ -88,12 +87,12 @@ def load_lexicon(raw: RawBytes) -> list[LexiconEntry]:
     phrase matches its normalized tokens. Violations of the category
     rules raise LexiconInvariantError naming the line.
     """
-    text = decode_utf8(raw).text
+    text = decode_utf8(data, source_id).text
     entries: list[LexiconEntry] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        where = f"{raw.source_id}:{lineno}"
+        where = f"{source_id}:{lineno}"
         fields = line.split("\t")
         if len(fields) != 3:
             raise LexiconFormatError(f"{where}: expected 3 tab-separated fields, got {len(fields)}")
@@ -112,31 +111,6 @@ def load_lexicon(raw: RawBytes) -> list[LexiconEntry]:
         _validate_entry(entry, where)
         entries.append(entry)
     return entries
-
-
-def dump_lexicon(entries: list[LexiconEntry]) -> str:
-    """Serialize entries back to the lexicon file format."""
-    lines = [f"{' '.join(e.phrase)}\t{e.gloss}\t{e.category.value}" for e in entries]
-    return "".join(line + "\n" for line in lines)
-
-
-def builtin_lexicon() -> list[LexiconEntry]:
-    """The packaged lexicon of known Igbo compound words."""
-    data = resources.files("igbotext.data").joinpath("lexicon.tsv").read_bytes()
-    return load_lexicon(RawBytes(data=data, source_id="builtin"))
-
-
-def detect_category(phrase: tuple[str, ...]) -> CompoundCategory | None:
-    """Surface-rule category detection; None when no rule fires.
-
-    Exact repetition marks Duplicated; an interior "na" marks Coordinate.
-    Nominal, Agentive, Proper and Derived are not surface-detectable.
-    """
-    if len(phrase) >= 2 and len(set(phrase)) == 1:
-        return CompoundCategory.DUPLICATED
-    if "na" in phrase[1:-1]:
-        return CompoundCategory.COORDINATE
-    return None
 
 
 def match_key_features(tokens: Sequence[str], lex: list[LexiconEntry]) -> list[KeyFeature]:

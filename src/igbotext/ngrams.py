@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Sequence, TypeVar
 
-from .errors import EmptyModelError, InvalidOrderError, OrderMismatchError, UnknownContextError
+from .errors import EmptyModelError, InvalidOrderError, UnknownContextError
 
 NGram = tuple[str, ...]
 Row = TypeVar("Row", bound=tuple)
@@ -43,11 +43,6 @@ class LanguageModel:
     bigrams: NGramTable
     trigrams: NGramTable
 
-    def table(self, n: int) -> NGramTable:
-        if n not in ORDERS:
-            raise InvalidOrderError(n, ORDERS)
-        return (self.unigrams, self.bigrams, self.trigrams)[ORDERS.index(n)]
-
 
 def extract_ngrams(tokens: Sequence[str], n: int, doc_id: str = "") -> NGramTable:
     """Count every contiguous window of n tokens; total = max(0, T-n+1)."""
@@ -70,18 +65,6 @@ def unigram_probability(m: LanguageModel, w: str) -> float:
     return m.unigrams.counts.get((w,), 0) / total
 
 
-def sequence_probability_unigram(m: LanguageModel, ws: Sequence[str]) -> float:
-    """Product of unigram probabilities; the empty product is 1."""
-    if m.unigrams.total_windows == 0:
-        raise EmptyModelError("model has no unigram windows")
-    p = 1.0
-    for w in ws:
-        p *= unigram_probability(m, w)
-        if p == 0.0:
-            return 0.0
-    return p
-
-
 def bigram_conditional(m: LanguageModel, w1: str, w2: str) -> float:
     """MLE conditional count(w1,w2)/count(w1)."""
     context = m.unigrams.counts.get((w1,), 0)
@@ -90,42 +73,12 @@ def bigram_conditional(m: LanguageModel, w1: str, w2: str) -> float:
     return m.bigrams.counts.get((w1, w2), 0) / context
 
 
-def sequence_probability_bigram(m: LanguageModel, ws: Sequence[str]) -> float:
-    """Forward chain P(w1) * prod P(w_i | w_{i-1}); zero factors yield 0."""
-    if m.unigrams.total_windows == 0:
-        raise EmptyModelError("model has no unigram windows")
-    if not ws:
-        raise ValueError("sequence must contain at least one word")
-    p = unigram_probability(m, ws[0])
-    for prev, cur in zip(ws, ws[1:]):
-        if p == 0.0:
-            return 0.0
-        if m.unigrams.counts.get((prev,), 0) == 0:
-            return 0.0
-        p *= bigram_conditional(m, prev, cur)
-    return p
-
-
 def trigram_conditional(m: LanguageModel, w1: str, w2: str, w3: str) -> float:
     """MLE conditional count(w1,w2,w3)/count(w1,w2)."""
     context = m.bigrams.counts.get((w1, w2), 0)
     if context == 0:
         raise UnknownContextError((w1, w2))
     return m.trigrams.counts.get((w1, w2, w3), 0) / context
-
-
-def merge_tables(a: NGramTable, b: NGramTable) -> NGramTable:
-    """Pointwise count addition for corpus aggregation."""
-    if a.n != b.n:
-        raise OrderMismatchError(a.n, b.n)
-    counts = Counter(a.counts)
-    counts.update(b.counts)
-    return NGramTable(
-        n=a.n,
-        counts=dict(counts),
-        total_windows=a.total_windows + b.total_windows,
-        doc_id="merged",
-    )
 
 
 def _nfc_gram(row: tuple) -> str:
@@ -146,7 +99,8 @@ def rank_rows(rows: list[Row]) -> list[Row]:
     return rows
 
 
-def rank_features(t: NGramTable) -> list[tuple[NGram, int]]:
-    """Every entry in rank order (see ``rank_rows``)."""
-    rows = rank_rows([(" ".join(gram), count, gram) for gram, count in t.counts.items()])
+def rank_features(counts: Mapping[NGram, int]) -> list[tuple[NGram, int]]:
+    """Every ``(gram, count)`` of a count mapping, such as a table's
+    ``counts``, in rank order (see ``rank_rows``)."""
+    rows = rank_rows([(" ".join(gram), count, gram) for gram, count in counts.items()])
     return [(gram, count) for _, count, gram in rows]

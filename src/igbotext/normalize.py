@@ -1,10 +1,12 @@
-"""Igbo text normalization: lowercasing, tone-mark stripping, noise removal.
+"""Igbo text normalization (lowercasing, tone-mark stripping, noise
+removal) and the whitespace tokenization of its output.
 
 Both modes turn apostrophes into word boundaries; Mode.STRICT turns
 hyphens into word boundaries too, while Mode.PAPER_GOLDEN keeps
-hyphenated words ("ihe-ngosi", "na-akwunye") whole. Tone marks (grave,
-acute, macron) are removed; the dot below ị/ọ/ụ is part of the letter and
-always preserved.
+hyphenated words ("ihe-ngosi", "na-akwunye") whole. So by the time the
+text is tokenized, a strict-mode clitic prefix is already its own word
+("na-ese" → "na ese"). Tone marks (grave, acute, macron) are removed;
+the dot below ị/ọ/ụ is part of the letter and always preserved.
 """
 
 from __future__ import annotations
@@ -89,3 +91,8 @@ def normalize(text: str, mode: Mode) -> str:
     # that starts with a mark is given one; other text is not copied.
     lead = " " if text[:1] and unicodedata.category(text[0])[0] == "M" else ""
     return _MARK_LED_WORD.sub(_drop_leading_marks, lead + text)[len(lead):]
+
+
+def tokenize(text: str) -> tuple[str, ...]:
+    """The whitespace-delimited words of normalized ``text``, in order."""
+    return tuple(text.split())

@@ -19,15 +19,17 @@ from pathlib import Path
 
 from .config import Mode
 from .errors import IgboTextError, InvalidOrderError, OrderMismatchError, PipelineStageError
-from .lexicon import KeyFeature, LexiconEntry, builtin_lexicon, load_lexicon, match_key_features
+from .lexicon import KeyFeature, LexiconEntry, load_lexicon, match_key_features
 from .ngrams import ORDERS, NGram, NGramTable, extract_ngrams, rank_features, rank_rows
-from .normalize import normalize
-from .stopwords import builtin_stoplist, load_stoplist, remove_stopwords
-from .textio import Document, read_raw
-from .tokenize import tokenize
+from .normalize import normalize, tokenize
+from .stopwords import load_stoplist, remove_stopwords
+from .textio import Document
 
 # The largest piece written to stdout in one call (see write_output).
 STDOUT_CHUNK = 1 << 16
+
+# The shipped stop-word list and lexicon.
+DATA = Path(__file__).parent / "data"
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,9 @@ class PipelineConfig:
     orders: tuple[int, ...] = ORDERS
 
     def __post_init__(self) -> None:
+        # A plain string names a mode by its value; anything else is a
+        # ValueError that names it.
+        object.__setattr__(self, "mode", Mode(self.mode))
         if not self.orders:
             raise ValueError("orders must be non-empty")
         for n in self.orders:
@@ -69,22 +74,20 @@ class DocTermMatrix:
 class Pipeline:
     """The stages of one run, configured once and shared by every document.
 
-    The stop list is loaded here; the lexicon (``cfg.lexicon_path``, or
-    the packaged one when none is set) on the first call to ``features``.
+    The stop list is loaded here; the lexicon on the first call to
+    ``features``. Each is read from its ``cfg`` path, or from the packaged
+    file under ``DATA`` when the path is ``None``.
     """
 
     def __init__(self, cfg: PipelineConfig) -> None:
         self.cfg = cfg
-        if cfg.stoplist_path is None:
-            self.stoplist = builtin_stoplist()
-        else:
-            self.stoplist = _stage("load-stoplist", load_stoplist, read_raw(cfg.stoplist_path))
+        self.stoplist = _stage(
+            "load-stoplist", load_stoplist, cfg.stoplist_path or DATA / "stopwords.txt"
+        )
 
     @cached_property
     def lexicon(self) -> list[LexiconEntry]:
-        if self.cfg.lexicon_path is None:
-            return builtin_lexicon()
-        return _stage("load-lexicon", load_lexicon, read_raw(self.cfg.lexicon_path))
+        return _stage("load-lexicon", load_lexicon, self.cfg.lexicon_path or DATA / "lexicon.tsv")
 
     def _filtered(self, doc: Document) -> tuple[str, ...]:
         mode = self.cfg.mode
@@ -106,9 +109,12 @@ class Pipeline:
         return match_key_features(self._filtered(doc), lexicon)
 
 
-def _stage(name, fn, *args):
+def _stage(name, load, path):
+    """``load`` applied to a data file's bytes and path; an error of the
+    toolkit names the stage."""
+    path = Path(path)
     try:
-        return fn(*args)
+        return load(path.read_bytes(), str(path))
     except IgboTextError as exc:
         raise PipelineStageError(name, exc) from exc
 
@@ -119,19 +125,18 @@ def run_pipeline(doc: Document, cfg: PipelineConfig) -> RepresentationBundle:
 
 
 def build_doc_term_matrix(bundles: list[RepresentationBundle], n: int) -> DocTermMatrix:
-    """Corpus matrix: feature axis in merged-table rank order.
+    """Corpus matrix: the feature axis is the documents' order-n counts,
+    summed over the corpus, in rank order (``rank_features``).
 
     Row i maps feature index j to document i's count of feature j, so
-    columns sum to the merged-table counts.
+    the columns sum to those corpus counts.
     """
     vocabulary: Counter[NGram] = Counter()
     for b in bundles:
         if n not in b.tables:
             raise OrderMismatchError(n, min(b.tables, default=0))
         vocabulary.update(b.tables[n].counts)
-    total = sum(b.tables[n].total_windows for b in bundles)
-    merged = NGramTable(n=n, counts=vocabulary, total_windows=total, doc_id="merged")
-    features = tuple(gram for gram, _ in rank_features(merged))
+    features = tuple(gram for gram, _ in rank_features(vocabulary))
     index = {gram: j for j, gram in enumerate(features)}
     rows = tuple(
         {index[gram]: count for gram, count in b.tables[n].counts.items()} for b in bundles
@@ -161,7 +166,9 @@ def table_to_obj(t: NGramTable) -> dict:
         "doc_id": t.doc_id,
         "n": t.n,
         "total": t.total_windows,
-        "entries": [{"gram": list(gram), "count": count} for gram, count in rank_features(t)],
+        "entries": [
+            {"gram": list(gram), "count": count} for gram, count in rank_features(t.counts)
+        ],
     }
 
 

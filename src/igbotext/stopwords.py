@@ -2,40 +2,26 @@
 
 The shipped default list transcribes the published sample list; stop-word
 inventories are corpus-dependent, so the list is a replaceable data file,
-not code. Entries are stored with the typographic apostrophe (U+2019) so
-that "n'" and "n’" name the same entry.
+not code. A list is the frozenset of its folded entries. Entries are
+stored with the typographic apostrophe (U+2019), so that "n'" and "n’"
+name the same entry.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
-from importlib import resources
 
 from .config import Mode
 from .errors import EmptyStopListWarning
 from .normalize import strip_tone_marks
-from .textio import RawBytes, decode_utf8
+from .textio import decode_utf8
 
 # Strict mode drops tokens shorter than this many scalar values.
 STRICT_MIN_TOKEN_LENGTH = 3
 
 
-def _fold_apostrophes(text: str) -> str:
-    return text.replace("'", "’")
-
-
-@dataclass(frozen=True)
-class StopList:
-    words: frozenset[str]
-    source: str
-
-    def __contains__(self, surface: str) -> bool:
-        return _fold_apostrophes(surface) in self.words
-
-
-def load_stoplist(raw: RawBytes) -> StopList:
+def load_stoplist(data: bytes, source_id: str) -> frozenset[str]:
     """Parse a stop-word file: entries split on commas and line breaks.
 
     Entries are trimmed, folded as text is (lowercase, tone marks
@@ -43,30 +29,23 @@ def load_stoplist(raw: RawBytes) -> StopList:
     removes its normalized token; a zero-entry result emits
     EmptyStopListWarning rather than failing.
     """
-    text = decode_utf8(raw).text
-    entries = {
-        _fold_apostrophes(strip_tone_marks(piece.strip().lower()))
+    text = decode_utf8(data, source_id).text
+    entries = frozenset(
+        strip_tone_marks(piece.strip().lower()).replace("'", "’")
         for piece in re.split(r"[,\r\n]", text)
         if piece.strip()
-    }
+    )
     if not entries:
-        warnings.warn(f"stop-word source {raw.source_id!r} has no entries", EmptyStopListWarning)
-    return StopList(words=frozenset(entries), source=raw.source_id)
+        warnings.warn(f"stop-word source {source_id!r} has no entries", EmptyStopListWarning)
+    return entries
 
 
-def builtin_stoplist() -> StopList:
-    """The packaged default stop-word list."""
-    data = resources.files("igbotext.data").joinpath("stopwords.txt").read_bytes()
-    return load_stoplist(RawBytes(data=data, source_id="builtin"))
-
-
-def remove_stopwords(tokens: tuple[str, ...], sl: StopList, mode: Mode) -> tuple[str, ...]:
+def remove_stopwords(tokens: tuple[str, ...], words: frozenset[str], mode: Mode) -> tuple[str, ...]:
     """Drop stop-list members and, in strict mode, too-short tokens.
 
     Length is measured in Unicode scalar values, so "ahụ" counts as three
     characters regardless of its byte length. Normalized tokens carry no
     apostrophe, so they are looked up in the list as they are.
     """
-    words = sl.words
     min_length = STRICT_MIN_TOKEN_LENGTH if mode is Mode.STRICT else 0
     return tuple(t for t in tokens if t not in words and len(t) >= min_length)

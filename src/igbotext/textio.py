@@ -17,18 +17,6 @@ _BOM = "﻿"
 
 
 @dataclass(frozen=True)
-class RawBytes:
-    """An undecoded byte sequence with an opaque source identifier."""
-
-    data: bytes
-    source_id: str
-
-    def __post_init__(self) -> None:
-        if not self.source_id:
-            raise ValueError("source_id must be non-empty")
-
-
-@dataclass(frozen=True)
 class Document:
     """A fully decoded Igbo text with a stable identifier."""
 
@@ -36,25 +24,19 @@ class Document:
     text: str
 
 
-def decode_utf8(raw: RawBytes) -> Document:
-    """Strictly decode UTF-8 bytes into a Document.
+def decode_utf8(data: bytes, source_id: str) -> Document:
+    """Strictly decode UTF-8 bytes into a Document named ``source_id``.
 
     A byte-order mark at the very start is dropped; everywhere else
     U+FEFF is ordinary content.
     """
     try:
-        text = raw.data.decode("utf-8", errors="strict")
+        text = data.decode("utf-8", errors="strict")
     except UnicodeDecodeError as exc:
-        raise DecodeError(raw.source_id, exc.start, exc.reason) from exc
+        raise DecodeError(source_id, exc.start, exc.reason) from exc
     if text.startswith(_BOM):
         text = text[len(_BOM):]
-    return Document(id=raw.source_id, text=text)
-
-
-def read_raw(path: str | os.PathLike[str]) -> RawBytes:
-    """Read a file's bytes; the path becomes the source identifier."""
-    p = Path(path)
-    return RawBytes(data=p.read_bytes(), source_id=str(p))
+    return Document(id=source_id, text=text)
 
 
 def load_corpus(paths: list[str | os.PathLike[str]]) -> list[Document]:
@@ -66,8 +48,8 @@ def load_corpus(paths: list[str | os.PathLike[str]]) -> list[Document]:
     """
     docs: list[Document] = []
     seen: set[str] = set()
-    for path in paths:
-        doc = decode_utf8(read_raw(path))
+    for path in map(Path, paths):
+        doc = decode_utf8(path.read_bytes(), str(path))
         if doc.id in seen:
             raise ValueError(f"duplicate document id {doc.id!r} in corpus")
         seen.add(doc.id)

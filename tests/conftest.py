@@ -4,17 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from igbotext import (
-    LanguageModel,
-    Mode,
-    Pipeline,
-    PipelineConfig,
-    builtin_stoplist,
-    load_corpus,
-    normalize,
-    remove_stopwords,
-    tokenize,
-)
+from igbotext import LanguageModel, Mode, Pipeline, PipelineConfig, load_corpus
+from igbotext.normalize import normalize, tokenize
+from igbotext.stopwords import remove_stopwords
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOC1_PATH = FIXTURES / "doc1.txt"
@@ -41,10 +33,11 @@ def doc1_bundle(doc1, golden_pipeline):
 
 
 @pytest.fixture(scope="session")
-def doc1_filtered(doc1):
+def doc1_filtered(doc1, golden_pipeline):
     """doc1's stop-filtered paper-mode token stream: what its tables count."""
     mode = Mode.PAPER_GOLDEN
-    return remove_stopwords(tokenize(normalize(doc1.text, mode)), builtin_stoplist(), mode)
+    stoplist = golden_pipeline.stoplist  # the shipped list
+    return remove_stopwords(tokenize(normalize(doc1.text, mode)), stoplist, mode)
 
 
 @pytest.fixture(scope="session")

@@ -5,15 +5,9 @@ import sys
 
 import pytest
 
-from igbotext import (
-    Mode,
-    PipelineConfig,
-    builtin_stoplist,
-    extract_ngrams,
-    load_corpus,
-    remove_stopwords,
-    run_pipeline,
-)
+from igbotext import Mode, PipelineConfig, load_corpus, run_pipeline
+from igbotext.ngrams import extract_ngrams
+from igbotext.stopwords import remove_stopwords
 
 from conftest import DOC1_PATH
 
@@ -60,12 +54,12 @@ def test_tokenize_json():
     assert payload["tokens"][:2] == ["kpaacharu", "anya"]
 
 
-def test_strict_tokenize_prints_the_stream_the_pipeline_counts(tmp_path):
+def test_strict_tokenize_prints_the_stream_the_pipeline_counts(tmp_path, strict_pipeline):
     doc = tmp_path / "clitic.txt"
     doc.write_text("N’ulo’s ana-eme", encoding="utf-8")
     proc = run_cli("tokenize", str(doc), "--mode", "strict")
     assert proc.returncode == 0
-    kept = remove_stopwords(tuple(proc.stdout.splitlines()), builtin_stoplist(), Mode.STRICT)
+    kept = remove_stopwords(tuple(proc.stdout.splitlines()), strict_pipeline.stoplist, Mode.STRICT)
     assert kept == ("ulo", "ana", "eme")
     bundle = run_pipeline(load_corpus([doc])[0], PipelineConfig(mode=Mode.STRICT))
     for n in (1, 2, 3):

@@ -2,22 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from igbotext import (
-    CompoundCategory,
-    LexiconEntry,
-    LexiconFormatError,
-    LexiconInvariantError,
-    RawBytes,
-    builtin_lexicon,
-    detect_category,
-    dump_lexicon,
-    load_lexicon,
-    match_key_features,
-)
+from igbotext import LexiconFormatError, LexiconInvariantError
+from igbotext.lexicon import CompoundCategory, LexiconEntry, load_lexicon, match_key_features
 
 
 def _load(text: str):
-    return load_lexicon(RawBytes(text.encode("utf-8"), "mem"))
+    return load_lexicon(text.encode("utf-8"), "mem")
 
 
 def test_load_nominal_entry():
@@ -93,19 +83,9 @@ def test_phrases_are_folded_like_text():
     assert entries[0].phrase == ("ezi", "na", "ụlọ")
 
 
-def test_dump_roundtrip():
-    text = (
-        "onye nkuzi\tteacher\tNominal\n"
-        "ezi na ụlọ\tfamily\tCoordinate\n"
-        "dinweulo\tlandlord\tDerived\n"
-    )
-    entries = _load(text)
-    assert dump_lexicon(entries) == text
-    assert _load(dump_lexicon(entries)) == entries
-
-
-def test_builtin_lexicon_loads_and_validates():
-    entries = builtin_lexicon()
+def test_builtin_lexicon_loads_and_validates(golden_pipeline):
+    # With no lexicon_path, the pipeline reads the shipped file.
+    entries = golden_pipeline.lexicon
     phrases = {e.phrase for e in entries}
     assert ("komputa", "nkunaka") in phrases
     assert ("okwu", "ntughe") in phrases
@@ -115,24 +95,46 @@ def test_builtin_lexicon_loads_and_validates():
     assert len(entries) >= 30
 
 
+# The two surface rules of the categories, as the loader applies them.
+def _category_check(phrase: str, category: str):
+    """The loaded category, or the invariant error that rejects it."""
+    try:
+        return _load(f"{phrase}\tgloss\t{category}\n")[0].category
+    except LexiconInvariantError as err:
+        return err
+
+
 def test_detect_duplicated():
-    assert detect_category(("mmiri", "mmiri")) is CompoundCategory.DUPLICATED
-    assert detect_category(("ocha", "ocha", "ocha")) is CompoundCategory.DUPLICATED
+    # Exact repetition is Duplicated, and only Duplicated.
+    for phrase in ("mmiri mmiri", "ocha ocha ocha"):
+        assert _category_check(phrase, "Duplicated") is CompoundCategory.DUPLICATED
+        for other in ("Nominal", "Agentive", "Coordinate"):
+            assert isinstance(_category_check(phrase, other), LexiconInvariantError)
 
 
 def test_detect_coordinate():
-    assert detect_category(("ezi", "na", "ụlọ")) is CompoundCategory.COORDINATE
-    assert detect_category(("okwu", "na", "ụka")) is CompoundCategory.COORDINATE
+    # An interior "na" is what a Coordinate compound is spelled with.
+    for phrase in ("ezi na ụlọ", "okwu na ụka"):
+        assert _category_check(phrase, "Coordinate") is CompoundCategory.COORDINATE
 
 
 def test_detect_unknown():
-    assert detect_category(("ụlọ", "akwukwo")) is None
-    assert detect_category(("na", "ese")) is None  # "na" at the edge is not interior
-    assert detect_category(("dinweulo",)) is None
+    # Where neither surface rule fires, the surface names no category:
+    # such a phrase is neither Duplicated nor Coordinate, and any other
+    # multi-word category is taken from the file.
+    for phrase in ("ụlọ akwukwo", "na ese"):  # "na" at the edge is not interior
+        for category in ("Duplicated", "Coordinate"):
+            assert isinstance(_category_check(phrase, category), LexiconInvariantError)
+        assert _category_check(phrase, "Nominal") is CompoundCategory.NOMINAL
+        assert _category_check(phrase, "Agentive") is CompoundCategory.AGENTIVE
+    # A single written word is only ever Proper or Derived.
+    assert _category_check("dinweulo", "Derived") is CompoundCategory.DERIVED
+    for category in ("Duplicated", "Coordinate", "Nominal"):
+        assert isinstance(_category_check("dinweulo", category), LexiconInvariantError)
 
 
-def test_match_key_features_doc1(doc1_filtered):
-    features = match_key_features(doc1_filtered, builtin_lexicon())
+def test_match_key_features_doc1(doc1_filtered, golden_pipeline):
+    features = match_key_features(doc1_filtered, golden_pipeline.lexicon)
     by_gram = {f.gram: f for f in features}
     laptop = by_gram[("komputa", "nkunaka")]
     assert laptop.count == 2
@@ -150,9 +152,10 @@ def test_match_key_features_doc1(doc1_filtered):
     ]
 
 
-def test_match_counts_mirror_tables(doc1_filtered, doc1_model):
-    for f in match_key_features(doc1_filtered, builtin_lexicon()):
-        assert doc1_model.table(len(f.gram)).counts[f.gram] == f.count
+def test_match_counts_mirror_tables(doc1_filtered, doc1_model, golden_pipeline):
+    tables = {1: doc1_model.unigrams, 2: doc1_model.bigrams, 3: doc1_model.trigrams}
+    for f in match_key_features(doc1_filtered, golden_pipeline.lexicon):
+        assert tables[len(f.gram)].counts[f.gram] == f.count
 
 
 def test_match_empty_lexicon(doc1_filtered):

@@ -1,25 +1,21 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from igbotext import (
     EmptyModelError,
     InvalidOrderError,
     LanguageModel,
-    NGramTable,
     OrderMismatchError,
     UnknownContextError,
     bigram_conditional,
-    extract_ngrams,
-    merge_tables,
-    rank_features,
-    sequence_probability_bigram,
-    sequence_probability_unigram,
     trigram_conditional,
     unigram_probability,
 )
-
-from igbotext.ngrams import ORDERS
+from igbotext.ngrams import ORDERS, NGramTable, extract_ngrams, rank_features
+from igbotext.pipeline import RepresentationBundle, build_doc_term_matrix
 
 from golden_doc1 import (
     GOLDEN_BIGRAMS,
@@ -108,14 +104,6 @@ def test_unigram_probability_empty_model():
         unigram_probability(empty, "x")
 
 
-def test_sequence_probability_unigram(model):
-    assert sequence_probability_unigram(model, ["projekto", "nkuziie"]) == pytest.approx(
-        (4 / 36) * (4 / 36), abs=1e-12
-    )
-    assert sequence_probability_unigram(model, []) == 1.0
-    assert sequence_probability_unigram(model, ["anya", "zzz"]) == 0.0
-
-
 def test_bigram_conditional(model):
     assert bigram_conditional(model, "projekto", "nkuziie") == pytest.approx(1.0, abs=1e-12)
     assert bigram_conditional(model, "komputa", "nkunaka") == pytest.approx(1.0, abs=1e-12)
@@ -124,13 +112,17 @@ def test_bigram_conditional(model):
 
 
 def test_sequence_probability_bigram(model):
-    assert sequence_probability_bigram(model, ["projekto", "nkuziie"]) == pytest.approx(
-        (4 / 36) * 1.0, abs=1e-12
-    )
-    assert sequence_probability_bigram(model, ["komputa"]) == pytest.approx(2 / 36, abs=1e-12)
-    assert sequence_probability_bigram(model, ["zzz", "anya"]) == 0.0
-    with pytest.raises(ValueError):
-        sequence_probability_bigram(model, [])
+    # The chain P(w1) * P(w2 | w1) of a two-word sequence is the joint
+    # MLE count(w1 w2) / unigram windows, for every bigram of the model.
+    def chain(w1, w2):
+        return unigram_probability(model, w1) * bigram_conditional(model, w1, w2)
+
+    assert chain("projekto", "nkuziie") == pytest.approx((4 / 36) * 1.0, abs=1e-12)
+    for (w1, w2), count in model.bigrams.counts.items():
+        assert chain(w1, w2) == pytest.approx(count / 36, abs=1e-12)
+    assert chain("komputa", "zzz") == 0.0
+    with pytest.raises(UnknownContextError):
+        chain("zzz", "anya")
 
 
 def test_trigram_conditional(model):
@@ -144,26 +136,42 @@ def test_trigram_conditional(model):
         trigram_conditional(model, "zzz", "yyy", "anya")
 
 
+# Corpus tables are merged by build_doc_term_matrix: its feature axis
+# holds the summed counts, and each row is one document's table.
+def _matrix(n, *tables):
+    bundles = [RepresentationBundle(t.doc_id, {t.n: t}) for t in tables]
+    return build_doc_term_matrix(bundles, n)
+
+
+def _column_sums(matrix):
+    sums = Counter()
+    for row in matrix.rows:
+        sums.update(row)
+    return {matrix.features[j]: count for j, count in sums.items()}
+
+
 def test_merge_counts_add():
     a = NGramTable(1, {("a",): 1}, 1, "x")
     b = NGramTable(1, {("a",): 2}, 2, "y")
-    merged = merge_tables(a, b)
-    assert merged.counts == {("a",): 3}
-    assert merged.total_windows == 3
-    assert merged.doc_id == "merged"
+    matrix = _matrix(1, a, b)
+    assert matrix.features == (("a",),)
+    assert _column_sums(matrix) == {("a",): 3}
+    assert [sum(row.values()) for row in matrix.rows] == [a.total_windows, b.total_windows]
 
 
 def test_merge_with_empty_is_identity_on_counts():
-    t = NGramTable(2, {("a", "b"): 2}, 2, "x")
+    t = NGramTable(2, {("a", "b"): 2, ("b", "c"): 1}, 3, "x")
     empty = NGramTable(2, {}, 0, "y")
-    merged = merge_tables(t, empty)
-    assert merged.counts == t.counts
-    assert merged.total_windows == t.total_windows
+    alone = _matrix(2, t)
+    merged = _matrix(2, t, empty)
+    assert merged.features == alone.features
+    assert _column_sums(merged) == _column_sums(alone) == t.counts
+    assert merged.rows == (*alone.rows, {})
 
 
 def test_merge_order_mismatch():
     with pytest.raises(OrderMismatchError):
-        merge_tables(NGramTable(1, {}, 0, "x"), NGramTable(2, {}, 0, "y"))
+        _matrix(2, NGramTable(2, {}, 0, "x"), NGramTable(1, {}, 0, "y"))
 
 
 def test_split_and_merge_recovers_whole_document_counts():
@@ -174,7 +182,7 @@ def test_split_and_merge_recovers_whole_document_counts():
         for cut in range(len(GOLDEN_FILTERED) + 1):
             left = extract_ngrams(_stream(GOLDEN_FILTERED[:cut]), n)
             right = extract_ngrams(_stream(GOLDEN_FILTERED[cut:]), n)
-            merged = dict(merge_tables(left, right).counts)
+            merged = dict(Counter(left.counts) + Counter(right.counts))
             spanning = [
                 tuple(GOLDEN_FILTERED[i:i + n])
                 for i in range(max(0, cut - n + 1), cut)
@@ -187,20 +195,20 @@ def test_split_and_merge_recovers_whole_document_counts():
 
 def test_rank_features_tie_break(doc1_filtered_stream):
     t = extract_ngrams(doc1_filtered_stream, 1)
-    top2 = rank_features(t)[:2]
+    top2 = rank_features(t.counts)[:2]
     assert top2 == [(("nkuziie",), 4), (("projekto",), 4)]
 
 
 def test_rank_features_edges(doc1_filtered_stream):
     t = extract_ngrams(doc1_filtered_stream, 2)
-    assert rank_features(NGramTable(2, {}, 0, "d")) == []
-    assert rank_features(t)[0] == (("projekto", "nkuziie"), 4)
-    assert len(rank_features(t)) == 31
+    assert rank_features({}) == []
+    assert rank_features(t.counts)[0] == (("projekto", "nkuziie"), 4)
+    assert len(rank_features(t.counts)) == 31
 
 
 def test_rank_features_is_stable(doc1_filtered_stream):
     t = extract_ngrams(doc1_filtered_stream, 2)
-    assert rank_features(t) == rank_features(t)
+    assert rank_features(t.counts) == rank_features(t.counts)
 
 
 def test_window_totals_against_brute_force(doc1_filtered_stream):

@@ -3,7 +3,9 @@ from __future__ import annotations
 import time
 import unicodedata
 
-from igbotext import Document, Mode, normalize, strip_tone_marks, tokenize
+from igbotext import Mode
+from igbotext.normalize import normalize, strip_tone_marks, tokenize
+from igbotext.textio import Document
 
 GOLDEN = Mode.PAPER_GOLDEN
 STRICT = Mode.STRICT

@@ -7,23 +7,27 @@ import pytest
 
 from igbotext import (
     DecodeError,
-    Document,
     LexiconInvariantError,
     Mode,
     OrderMismatchError,
     PipelineConfig,
     Pipeline,
     PipelineStageError,
-    RepresentationBundle,
-    build_doc_term_matrix,
     bundle_from_json,
-    bundle_to_json,
-    bundle_to_tsv,
     run_pipeline,
-    table_to_tsv,
 )
 from igbotext.ngrams import NGramTable
-from igbotext.pipeline import matrix_to_json, matrix_to_tsv, write_output
+from igbotext.pipeline import (
+    RepresentationBundle,
+    build_doc_term_matrix,
+    bundle_to_json,
+    bundle_to_tsv,
+    matrix_to_json,
+    matrix_to_tsv,
+    table_to_tsv,
+    write_output,
+)
+from igbotext.textio import Document
 
 from golden_doc1 import (
     GOLDEN_BIGRAMS,
@@ -144,6 +148,21 @@ def test_config_validation():
         PipelineConfig(mode=Mode.PAPER_GOLDEN, orders=(4,))
 
 
+def test_mode_given_as_its_value_is_that_mode(doc1):
+    # Every stage sees the Mode member: a plain "strict" once ran strict
+    # boundaries with the paper stop filter, keeping "gi" and "hu".
+    cfg = PipelineConfig(mode="strict")
+    assert cfg.mode is Mode.STRICT
+    assert run_pipeline(doc1, cfg).tables[1].counts == STRICT_UNIGRAMS
+    assert PipelineConfig(mode="paper_golden").mode is Mode.PAPER_GOLDEN
+
+
+def test_unknown_mode_is_a_value_error_naming_it():
+    # "paper" is the CLI's spelling, not a Mode value.
+    with pytest.raises(ValueError, match="'paper'"):
+        PipelineConfig(mode="paper")
+
+
 def test_stoplist_decode_error_names_stage(tmp_path):
     bad = tmp_path / "stop.txt"
     bad.write_bytes(b"\xff")
@@ -180,14 +199,14 @@ def test_matrix_column_sums_equal_merged_counts(doc1, golden_pipeline):
     bundle = golden_pipeline.represent(doc1)
     other = golden_pipeline.represent(Document("other", "komputa nkunaka ocha"))
     matrix = build_doc_term_matrix([bundle, other], 1)
-    from igbotext import merge_tables
-
-    merged = merge_tables(bundle.tables[1], other.tables[1])
+    merged = Counter(bundle.tables[1].counts)
+    merged.update(other.tables[1].counts)
     sums = Counter()
     for row in matrix.rows:
         sums.update(row)
+    assert len(matrix.features) == len(merged)
     for j, gram in enumerate(matrix.features):
-        assert sums[j] == merged.counts[gram]
+        assert sums[j] == merged[gram]
 
 
 def _disjoint_bundles() -> list[RepresentationBundle]:

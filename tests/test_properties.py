@@ -17,34 +17,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igbotext import (
-    CompoundCategory,
-    Document,
     KeyFeature,
     LanguageModel,
-    LexiconEntry,
     Mode,
     Pipeline,
     PipelineConfig,
-    RawBytes,
     bigram_conditional,
-    builtin_stoplist,
-    decode_utf8,
-    extract_ngrams,
-    match_key_features,
-    merge_tables,
-    normalize,
-    rank_features,
-    remove_stopwords,
-    sequence_probability_unigram,
-    strip_tone_marks,
-    table_to_tsv,
-    tokenize,
     trigram_conditional,
     unigram_probability,
 )
 from igbotext.cli import main as cli_main
-from igbotext.ngrams import ORDERS, NGramTable
-from igbotext.pipeline import table_to_obj
+from igbotext.lexicon import CompoundCategory, LexiconEntry, match_key_features
+from igbotext.ngrams import ORDERS, NGramTable, extract_ngrams, rank_features
+from igbotext.normalize import normalize, strip_tone_marks, tokenize
+from igbotext.pipeline import (
+    RepresentationBundle,
+    build_doc_term_matrix,
+    table_to_obj,
+    table_to_tsv,
+)
+from igbotext.stopwords import remove_stopwords
+from igbotext.textio import Document, decode_utf8
 
 from reference_pipeline import (
     reference_filter,
@@ -141,17 +134,35 @@ def test_conditionals_sum_to_one(tokens):
 @given(streams, streams, streams, st.sampled_from([1, 2, 3]))
 @settings(max_examples=200, deadline=None)
 def test_merge_commutative_and_associative(xs, ys, zs, n):
-    a = extract_ngrams(_stream(xs), n)
-    b = extract_ngrams(_stream(ys), n)
-    c = extract_ngrams(_stream(zs), n)
-    ab = merge_tables(a, b)
-    ba = merge_tables(b, a)
-    assert ab.counts == ba.counts
-    assert ab.total_windows == ba.total_windows
-    left = merge_tables(merge_tables(a, b), c)
-    right = merge_tables(a, merge_tables(b, c))
-    assert left.counts == right.counts
-    assert left.total_windows == right.total_windows
+    # Corpus tables are merged by build_doc_term_matrix: its feature axis
+    # and column sums are the merged counts, whatever the document order
+    # or grouping.
+    a = extract_ngrams(_stream(xs), n, "a")
+    b = extract_ngrams(_stream(ys), n, "b")
+    c = extract_ngrams(_stream(zs), n, "c")
+
+    def joined(*tables: NGramTable) -> NGramTable:
+        counts = sum((Counter(t.counts) for t in tables), Counter())
+        total = sum(t.total_windows for t in tables)
+        return NGramTable(n, dict(counts), total, "+".join(t.doc_id for t in tables))
+
+    def merged(*tables: NGramTable):
+        bundles = [RepresentationBundle(t.doc_id, {n: t}) for t in tables]
+        matrix = build_doc_term_matrix(bundles, n)
+        for row, t in zip(matrix.rows, tables):
+            assert sum(row.values()) == t.total_windows
+        sums = Counter()
+        for row in matrix.rows:
+            sums.update(row)
+        return matrix.features, {matrix.features[j]: count for j, count in sums.items()}
+
+    features, sums = merged(a, b, c)
+    assert sums == Counter(a.counts) + Counter(b.counts) + Counter(c.counts)
+    assert set(features) == set(sums)
+    for order in ((a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
+        assert merged(*order) == (features, sums)
+    assert merged(joined(a, b), c) == merged(a, joined(b, c)) == (features, sums)
+    assert merged(joined(a, b, c)) == (features, sums)
 
 
 @given(st.text(alphabet=NOISY_ALPHABET, max_size=120))
@@ -165,7 +176,7 @@ def test_normalize_idempotent(text):
 @given(st.lists(words, max_size=30), st.sampled_from([Mode.PAPER_GOLDEN, Mode.STRICT]))
 @settings(max_examples=200, deadline=None)
 def test_stop_filter_idempotent(tokens, mode):
-    sl = builtin_stoplist()
+    sl = _PIPELINES[Mode.PAPER_GOLDEN].stoplist  # the shipped list
     once = remove_stopwords(_stream(tokens), sl, mode)
     assert remove_stopwords(once, sl, mode) == once
     assert Counter(once) <= Counter(tokens)
@@ -179,9 +190,9 @@ def test_utf8_roundtrip(text):
     if text.startswith("﻿"):
         text = "x" + text
     doc = Document("d", text)
-    raw = RawBytes(doc.text.encode("utf-8"), doc.id)
-    assert decode_utf8(raw) == doc
-    assert decode_utf8(raw).text.encode("utf-8") == raw.data
+    raw = doc.text.encode("utf-8")
+    assert decode_utf8(raw, doc.id) == doc
+    assert decode_utf8(raw, doc.id).text.encode("utf-8") == raw
 
 
 @given(streams, st.lists(words, min_size=1, max_size=6))
@@ -191,7 +202,7 @@ def test_unigram_product_matches_log_sum(tokens, query):
     if m.unigrams.total_windows == 0:
         return
     probs = [unigram_probability(m, w) for w in query]
-    product = sequence_probability_unigram(m, query)
+    product = math.prod(probs)
     if any(p == 0.0 for p in probs):
         assert product == 0.0
     else:
@@ -264,7 +275,7 @@ def test_tables_match_word_by_word_reference(text):
         strict = mode is Mode.STRICT
         tokens = reference_tokens(text, strict)
         assert tokenize(normalize(text, mode)) == tuple(tokens)
-        kept = reference_filter(tokens, pipeline.stoplist.words, strict)
+        kept = reference_filter(tokens, pipeline.stoplist, strict)
         bundle = pipeline.represent(Document("d", text))
         for n in (1, 2, 3):
             assert bundle.tables[n].counts == reference_table(kept, n)
@@ -303,7 +314,7 @@ def matrix_corpora(draw):
 @example(["na ya", ""], 2, "paper")
 def test_matrix_output_matches_dense_reference(texts, n, mode):
     strict = mode == "strict"
-    stopwords = _PIPELINES[Mode.parse(mode)].stoplist.words
+    stopwords = _PIPELINES[Mode.parse(mode)].stoplist
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         tables = []
@@ -345,7 +356,7 @@ def test_every_ranking_matches_the_reference_sort(n_table):
     n, counts = n_table
     expected = reference_rank(counts)
     table = NGramTable(n, counts, sum(counts.values()), "d")
-    assert rank_features(table) == expected
+    assert rank_features(table.counts) == expected
     tsv = "".join(f"{' '.join(gram)}\t{count}\n" for gram, count in expected)
     assert table_to_tsv(table).encode("utf-8") == tsv.encode("utf-8")
     assert table_to_obj(table)["entries"] == [

@@ -2,17 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from igbotext import (
-    EmptyStopListWarning,
-    Mode,
-    RawBytes,
-    StopList,
-    builtin_stoplist,
-    load_stoplist,
-    normalize,
-    remove_stopwords,
-    tokenize,
-)
+from igbotext import EmptyStopListWarning, Mode
+from igbotext.normalize import normalize, tokenize
+from igbotext.stopwords import load_stoplist, remove_stopwords
 
 from golden_doc1 import GOLDEN_FILTERED
 
@@ -21,53 +13,52 @@ STRICT = Mode.STRICT
 
 
 def test_load_splits_on_commas_and_newlines():
-    sl = load_stoplist(RawBytes(b"ndi, nke,\na", "mem"))
-    assert sl.words == frozenset({"ndi", "nke", "a"})
+    sl = load_stoplist(b"ndi, nke,\na", "mem")
+    assert sl == frozenset({"ndi", "nke", "a"})
 
 
 def test_load_lowercases_and_dedupes():
-    sl = load_stoplist(RawBytes("Ndi, NDI, nke".encode(), "mem"))
-    assert sl.words == frozenset({"ndi", "nke"})
+    sl = load_stoplist("Ndi, NDI, nke".encode(), "mem")
+    assert sl == frozenset({"ndi", "nke"})
 
 
 def test_load_folds_entries_like_text():
     # NFD, tone-marked and upper-case spellings of one word are one entry:
     # the token that normalize makes of them.
-    sl = load_stoplist(RawBytes("ahu\u0323, Àhụ, A\u0300HU\u0323, àhụ́".encode(), "mem"))
-    assert sl.words == frozenset({"ahụ"})
+    sl = load_stoplist("ahu\u0323, Àhụ, A\u0300HU\u0323, àhụ́".encode(), "mem")
+    assert sl == frozenset({"ahụ"})
 
 
 @pytest.mark.parametrize("entry", ["ahu\u0323", "Àhụ"])
 def test_any_spelling_of_an_entry_removes_its_token(entry):
-    sl = load_stoplist(RawBytes(entry.encode(), "mem"))
+    sl = load_stoplist(entry.encode(), "mem")
     tokens = tokenize(normalize("Ahụ ụlọ àhụ", GOLDEN))
     assert remove_stopwords(tokens, sl, GOLDEN) == ("ụlọ",)
 
 
 def test_load_empty_warns():
     with pytest.warns(EmptyStopListWarning):
-        sl = load_stoplist(RawBytes(b"", "mem"))
-    assert sl.words == frozenset()
+        sl = load_stoplist(b"", "mem")
+    assert sl == frozenset()
 
 
-def test_builtin_list_contents():
-    sl = builtin_stoplist()
-    assert sl.source == "builtin"
+def test_builtin_list_contents(golden_pipeline):
+    # With no stoplist_path, the pipeline reads the shipped file.
+    sl = golden_pipeline.stoplist
     for word in ("makana", "ahụ", "na", "ka", "ha", "n’"):
-        assert word in sl.words
+        assert word in sl
     # the fixture keeps these, so they must not be stop words
     for word in ("gi", "hu", "iji", "oburu"):
-        assert word not in sl.words
+        assert word not in sl
 
 
 def test_apostrophe_forms_unify():
-    sl = load_stoplist(RawBytes("n'".encode(), "mem"))
-    assert "n’" in sl.words
-    assert "n'" in sl  # membership folds the straight form too
+    sl = load_stoplist("n'".encode(), "mem")
+    assert sl == {"n’"}  # the straight form is stored as the typographic one
 
 
-def test_filter_drops_list_members():
-    sl = builtin_stoplist()
+def test_filter_drops_list_members(golden_pipeline):
+    sl = golden_pipeline.stoplist
     out = remove_stopwords(("anya", "makana", "projekto"), sl, GOLDEN)
     assert out == ("anya", "projekto")
 
@@ -81,20 +72,20 @@ def test_filter_doc1_golden(doc1, golden_pipeline):
         assert word not in out
 
 
-def test_strict_filter_drops_short_tokens():
-    sl = builtin_stoplist()
+def test_strict_filter_drops_short_tokens(golden_pipeline):
+    sl = golden_pipeline.stoplist
     out = remove_stopwords(("hu", "gi", "anya"), sl, STRICT)
     assert out == ("anya",)
 
 
 def test_length_counts_scalars_not_bytes():
-    sl = StopList(frozenset(), "mem")
+    sl = frozenset()
     out = remove_stopwords(("ahụ",), sl, STRICT)
     assert out == ("ahụ",)  # three scalars, survives
 
 
-def test_filter_reindexes_from_zero():
-    sl = builtin_stoplist()
+def test_filter_reindexes_from_zero(golden_pipeline):
+    sl = golden_pipeline.stoplist
     out = remove_stopwords(("na", "anya", "na", "projekto"), sl, GOLDEN)
     assert out == ("anya", "projekto")
 
@@ -108,6 +99,6 @@ def test_filter_idempotent(doc1, golden_pipeline):
 
 def test_empty_list_zero_minlength_is_identity():
     stream = ("a", "na", "anya")
-    sl = StopList(frozenset(), "mem")
+    sl = frozenset()
     assert remove_stopwords(stream, sl, GOLDEN) == stream
 

@@ -2,74 +2,65 @@ from __future__ import annotations
 
 import pytest
 
-from igbotext import (
-    DecodeError,
-    Document,
-    RawBytes,
-    decode_utf8,
-    load_corpus,
-)
+from igbotext import DecodeError, load_corpus
+from igbotext.textio import Document, decode_utf8
 
 from conftest import DOC1_PATH
 
 
 def test_decode_dotted_vowels():
-    raw = RawBytes(bytes([0xE1, 0xBB, 0xA5, 0x6C, 0xE1, 0xBB, 0x8D]), "mem")
-    assert decode_utf8(raw).text == "ụlọ"  # ụlọ
+    raw = bytes([0xE1, 0xBB, 0xA5, 0x6C, 0xE1, 0xBB, 0x8D])
+    assert decode_utf8(raw, "mem").text == "ụlọ"  # ụlọ
 
 
 def test_decode_ascii():
-    assert decode_utf8(RawBytes(b"anya", "mem")).text == "anya"
+    assert decode_utf8(b"anya", "mem").text == "anya"
 
 
 def test_decode_invalid_start_byte_reports_offset():
     with pytest.raises(DecodeError) as err:
-        decode_utf8(RawBytes(b"\xff\x61", "mem"))
+        decode_utf8(b"\xff\x61", "mem")
     assert err.value.offset == 0
     assert err.value.source_id == "mem"
 
 
 def test_decode_invalid_later_offset():
     with pytest.raises(DecodeError) as err:
-        decode_utf8(RawBytes(b"ab\xc3\x28", "mem"))
+        decode_utf8(b"ab\xc3\x28", "mem")
     assert err.value.offset == 2
 
 
 def test_decode_never_substitutes_replacement_char():
     with pytest.raises(DecodeError):
-        decode_utf8(RawBytes(b"\xed\xa0\x80", "mem"))  # encoded surrogate
+        decode_utf8(b"\xed\xa0\x80", "mem")  # encoded surrogate
 
 
 def test_leading_bom_is_stripped():
-    raw = RawBytes(b"\xef\xbb\xbfanya", "mem")
-    assert decode_utf8(raw).text == "anya"
+    raw = b"\xef\xbb\xbfanya"
+    assert decode_utf8(raw, "mem").text == "anya"
 
 
 def test_interior_bom_is_content():
-    raw = RawBytes("a﻿b".encode("utf-8"), "mem")
-    assert decode_utf8(raw).text == "a﻿b"
-
-
-def _encoded(doc: Document) -> RawBytes:
-    return RawBytes(doc.text.encode("utf-8"), doc.id)
+    raw = "a﻿b".encode("utf-8")
+    assert decode_utf8(raw, "mem").text == "a﻿b"
 
 
 def test_encode_dotted_vowels():
     doc = Document("mem", "ụlọ")
-    raw = _encoded(doc)
-    assert raw.data == bytes([0xE1, 0xBB, 0xA5, 0x6C, 0xE1, 0xBB, 0x8D])
-    assert decode_utf8(raw) == doc
+    raw = doc.text.encode("utf-8")
+    assert raw == bytes([0xE1, 0xBB, 0xA5, 0x6C, 0xE1, 0xBB, 0x8D])
+    assert decode_utf8(raw, doc.id) == doc
 
 
 def test_encode_empty():
     doc = Document("mem", "")
-    assert _encoded(doc).data == b""
-    assert decode_utf8(_encoded(doc)) == doc
+    assert doc.text.encode("utf-8") == b""
+    assert decode_utf8(doc.text.encode("utf-8"), doc.id) == doc
 
 
 def test_roundtrip_doc1(doc1):
-    assert decode_utf8(_encoded(doc1)) == doc1
-    assert decode_utf8(_encoded(doc1)).text == doc1.text
+    assert decode_utf8(doc1.text.encode("utf-8"), doc1.id) == doc1
+    assert decode_utf8(doc1.text.encode("utf-8"), doc1.id).text == doc1.text
 
 
 def test_load_corpus_single(doc1):
@@ -108,8 +99,3 @@ def test_load_corpus_decode_error_names_path(tmp_path):
 def test_load_corpus_rejects_duplicate_ids():
     with pytest.raises(ValueError):
         load_corpus([DOC1_PATH, DOC1_PATH])
-
-
-def test_rawbytes_requires_source_id():
-    with pytest.raises(ValueError):
-        RawBytes(b"", "")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from igbotext import Mode, normalize, tokenize
+from igbotext import Mode
+from igbotext.normalize import normalize, tokenize
 
 
 def _strict(text):
