@@ -8,7 +8,6 @@ invariant error in a data file.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -33,6 +32,7 @@ from .pipeline import (
     features_to_tsv,
     matrix_to_json,
     matrix_to_tsv,
+    to_json,
     write_output,
 )
 from .textio import load_corpus
@@ -68,7 +68,7 @@ def _parse_orders(value: str) -> tuple[int, ...]:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=("paper", "strict"), default="paper",
+    common.add_argument("--mode", choices=[m.value for m in Mode], default="paper",
                         help="pipeline behaviour (default: paper)")
     common.add_argument("--format", choices=("tsv", "json"), default="tsv",
                         help="output format (default: tsv)")
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = ORDERS) -> PipelineConfig:
     return PipelineConfig(
-        mode=Mode.parse(args.mode),
+        mode=Mode(args.mode),
         stoplist_path=Path(args.stopwords) if args.stopwords else None,
         lexicon_path=Path(args.lexicon) if getattr(args, "lexicon", None) else None,
         orders=orders,
@@ -117,18 +117,17 @@ def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = ORDERS)
 
 def _cmd_normalize(args: argparse.Namespace) -> str:
     doc = load_corpus([args.file])[0]
-    text = normalize(doc.text, Mode.parse(args.mode))
+    text = normalize(doc.text, Mode(args.mode))
     if args.format == "json":
-        return json.dumps({"doc_id": doc.id, "text": text}, ensure_ascii=False, indent=2) + "\n"
+        return to_json({"doc_id": doc.id, "text": text})
     return text + "\n"
 
 
 def _cmd_tokenize(args: argparse.Namespace) -> str:
     doc = load_corpus([args.file])[0]
-    tokens = tokenize(normalize(doc.text, Mode.parse(args.mode)))
+    tokens = tokenize(normalize(doc.text, Mode(args.mode)))
     if args.format == "json":
-        payload = {"doc_id": doc.id, "tokens": tokens}
-        return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        return to_json({"doc_id": doc.id, "tokens": tokens})
     return "".join(token + "\n" for token in tokens)
 
 

@@ -6,23 +6,15 @@ from enum import Enum
 
 
 class Mode(str, Enum):
-    """Two documented pipeline behaviours.
+    """Two documented pipeline behaviours, each valued by its CLI name.
 
-    Both modes split words at apostrophes. PAPER_GOLDEN keeps hyphenated
-    tokens whole and applies no minimum token length; it is the
+    Both modes split words at apostrophes. PAPER_GOLDEN ("paper") keeps
+    hyphenated tokens whole and applies no minimum token length; it is the
     configuration the golden doc1 frequency tables were produced under.
-    STRICT also splits words at hyphens, which separates clitic prefixes
-    ("na-ese" → "na ese"), and drops tokens shorter than three characters.
+    STRICT ("strict") also splits words at hyphens, which separates clitic
+    prefixes ("na-ese" → "na ese"), and drops tokens shorter than three
+    characters. Any other value is a ValueError that names it.
     """
 
-    PAPER_GOLDEN = "paper_golden"
+    PAPER_GOLDEN = "paper"
     STRICT = "strict"
-
-    @classmethod
-    def parse(cls, value: str) -> Mode:
-        """The mode a CLI spelling names: 'paper' or 'strict'."""
-        if value == "paper":
-            return cls.PAPER_GOLDEN
-        if value == "strict":
-            return cls.STRICT
-        raise ValueError(f"unknown mode {value!r} (expected 'paper' or 'strict')")

@@ -27,12 +27,11 @@ ORDERS = (1, 2, 3)
 
 @dataclass(frozen=True)
 class NGramTable:
-    """Counts of order-n windows plus total-window bookkeeping."""
+    """Counts of one order's windows and the number of windows. The
+    ``RepresentationBundle`` holding it owns its order and document id."""
 
-    n: int
     counts: Mapping[NGram, int]
     total_windows: int
-    doc_id: str
 
 
 @dataclass(frozen=True)
@@ -44,17 +43,14 @@ class LanguageModel:
     trigrams: NGramTable
 
 
-def extract_ngrams(tokens: Sequence[str], n: int, doc_id: str = "") -> NGramTable:
-    """Count every contiguous window of n tokens; total = max(0, T-n+1)."""
+def extract_ngrams(tokens: Sequence[str], n: int) -> NGramTable:
+    """The table of every contiguous window of n tokens; of T tokens there
+    are max(0, T-n+1) windows. An order outside ``ORDERS`` is an
+    ``InvalidOrderError``."""
     if n not in ORDERS:
         raise InvalidOrderError(n, ORDERS)
     counts = Counter(zip(*(tokens[i:] for i in range(n))))
-    return NGramTable(
-        n=n,
-        counts=dict(counts),
-        total_windows=max(0, len(tokens) - n + 1),
-        doc_id=doc_id,
-    )
+    return NGramTable(counts=dict(counts), total_windows=max(0, len(tokens) - n + 1))
 
 
 def unigram_probability(m: LanguageModel, w: str) -> float:

@@ -96,7 +96,7 @@ class Pipeline:
     def represent(self, doc: Document) -> RepresentationBundle:
         """The document's n-gram table of each configured order."""
         filtered = self._filtered(doc)
-        tables = {n: extract_ngrams(filtered, n, doc.id) for n in self.cfg.orders}
+        tables = {n: extract_ngrams(filtered, n) for n in self.cfg.orders}
         return RepresentationBundle(doc_id=doc.id, tables=tables)
 
     def features(self, doc: Document) -> list[KeyFeature]:
@@ -151,6 +151,12 @@ def build_doc_term_matrix(bundles: list[RepresentationBundle], n: int) -> DocTer
 
 # --- serialization -----------------------------------------------------
 
+def to_json(payload: object) -> str:
+    """The JSON text of every output but the matrix: indent 2, characters
+    as they are (``ensure_ascii=False``) and a closing newline."""
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
 def table_to_tsv(t: NGramTable) -> str:
     """One "gram<TAB>count" row per entry, in rank order."""
     rows = rank_rows([(" ".join(gram), count) for gram, count in t.counts.items()])
@@ -161,22 +167,17 @@ def table_to_tsv(t: NGramTable) -> str:
     return "".join(rows)
 
 
-def table_to_obj(t: NGramTable) -> dict:
+def table_to_obj(b: RepresentationBundle, n: int) -> dict:
+    """The JSON object of a bundle's order-n table, entries in rank order."""
+    t = b.tables[n]
     return {
-        "doc_id": t.doc_id,
-        "n": t.n,
+        "doc_id": b.doc_id,
+        "n": n,
         "total": t.total_windows,
         "entries": [
             {"gram": list(gram), "count": count} for gram, count in rank_features(t.counts)
         ],
     }
-
-
-def table_from_obj(obj: dict) -> NGramTable:
-    counts = {tuple(e["gram"]): int(e["count"]) for e in obj["entries"]}
-    return NGramTable(
-        n=int(obj["n"]), counts=counts, total_windows=int(obj["total"]), doc_id=obj["doc_id"]
-    )
 
 
 def bundle_to_tsv(b: RepresentationBundle) -> str:
@@ -186,16 +187,65 @@ def bundle_to_tsv(b: RepresentationBundle) -> str:
 
 
 def bundle_to_json(b: RepresentationBundle) -> str:
-    objs = [table_to_obj(b.tables[n]) for n in sorted(b.tables)]
-    payload = objs[0] if len(objs) == 1 else objs
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    """One table object, or a list of them in ascending order when several."""
+    objs = [table_to_obj(b, n) for n in sorted(b.tables)]
+    return to_json(objs[0] if len(objs) == 1 else objs)
+
+
+def _whole(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def bundle_from_json(text: str) -> RepresentationBundle:
+    """The bundle that ``bundle_to_json`` wrote as ``text``.
+
+    Only what the writer writes is read: one table object or a non-empty
+    list of them, each with exactly ``doc_id``, ``n``, ``total`` and
+    ``entries``; the same document id in all; each order of ``ORDERS`` at
+    most once; entries of exactly ``gram`` and ``count``, each gram a
+    list of n strings that no other entry repeats and each count an int
+    of at least 1; and a total equal to the sum of the counts. Anything
+    else is a ValueError that names the table object and the field.
+    """
     payload = json.loads(text)
     objs = payload if isinstance(payload, list) else [payload]
-    tables = {int(obj["n"]): table_from_obj(obj) for obj in objs}
-    doc_ids = {t.doc_id for t in tables.values()}
+    if not objs:
+        raise ValueError("bundle JSON holds no table object")
+    doc_ids: set[str] = set()
+    tables: dict[int, NGramTable] = {}
+    for i, obj in enumerate(objs):
+        where = f"table object {i}"
+        if not isinstance(obj, dict) or obj.keys() != {"doc_id", "n", "total", "entries"}:
+            raise ValueError(f"{where}: fields must be doc_id, n, total and entries")
+        doc_id, n, entries = obj["doc_id"], obj["n"], obj["entries"]
+        if not isinstance(doc_id, str):
+            raise ValueError(f"{where}: doc_id {doc_id!r} is not a string")
+        if not _whole(n) or n not in ORDERS:
+            raise ValueError(f"{where}: n {n!r} is not one of {ORDERS}")
+        if n in tables:
+            raise ValueError(f"{where}: n {n} repeats an earlier table's order")
+        if not isinstance(entries, list):
+            raise ValueError(f"{where}: entries is not a list")
+        counts: dict[NGram, int] = {}
+        for j, entry in enumerate(entries):
+            field = f"{where}: entries[{j}]"
+            if not isinstance(entry, dict) or entry.keys() != {"gram", "count"}:
+                raise ValueError(f"{field}: fields must be gram and count")
+            gram, count = entry["gram"], entry["count"]
+            if not (isinstance(gram, list) and len(gram) == n
+                    and all(isinstance(word, str) for word in gram)):
+                raise ValueError(f"{field}.gram {gram!r} is not a list of {n} strings")
+            key = tuple(gram)
+            if key in counts:
+                raise ValueError(f"{field}.gram {gram!r} repeats an earlier entry")
+            if not _whole(count) or count < 1:
+                raise ValueError(f"{field}.count {count!r} is not an int of at least 1")
+            counts[key] = count
+        total, windows = obj["total"], sum(counts.values())
+        if not _whole(total) or total != windows:
+            raise ValueError(f"{where}: total {total!r} is not the sum of the counts, {windows}")
+        doc_ids.add(doc_id)
+        tables[n] = NGramTable(counts=counts, total_windows=total)
     if len(doc_ids) != 1:
         raise ValueError(f"bundle mixes document ids: {sorted(doc_ids)}")
     return RepresentationBundle(doc_id=doc_ids.pop(), tables=tables)
@@ -242,8 +292,8 @@ def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
     yield from _dense_rows(m, m.doc_ids, "\t", "\n")
 
 
-# json.dumps with an indent runs the pure-Python encoder; strings are
-# encoded here by the C one and laid out by _json_array.
+# json.dumps with an indent, as in to_json, runs the pure-Python encoder;
+# strings are encoded here by the C one and laid out by _json_array.
 _json_str = json.JSONEncoder(ensure_ascii=False).encode
 
 
@@ -256,8 +306,8 @@ def _json_array(items: list[str], depth: int) -> str:
 
 
 def matrix_to_json(m: DocTermMatrix) -> Iterator[str]:
-    """The bytes ``json.dumps(payload, ensure_ascii=False, indent=2)`` gives
-    for ``{n, docs, features, cells}``, made one dense row at a time.
+    """The bytes ``to_json`` gives for ``{n, docs, features, cells}``, made
+    one dense row at a time.
 
     ``cells[i]`` is document i's dense row. Like a TSV row, it is cut from
     one line of zeros, ``",\\n      0"`` per feature (``_dense_rows``),
@@ -283,7 +333,7 @@ def features_to_tsv(features: list[KeyFeature]) -> str:
 
 
 def features_to_json(doc_id: str, features: list[KeyFeature]) -> str:
-    payload = {
+    return to_json({
         "doc_id": doc_id,
         "features": [
             {
@@ -294,8 +344,7 @@ def features_to_json(doc_id: str, features: list[KeyFeature]) -> str:
             }
             for f in features
         ],
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    })
 
 
 def write_output(

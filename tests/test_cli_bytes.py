@@ -1,0 +1,123 @@
+"""Byte snapshot of the command line.
+
+Every command runs in both modes and both formats on doc1 and on
+``fixtures/edge.txt`` (a byte-order mark, tone marks, NFD text, stray
+combining marks, hyphens, curly apostrophes, digits, a currency sign,
+lexicon phrases and bare punctuation); ``matrix`` runs over a directory
+holding both and an empty document. The error runs are a bad order, a
+bad mode and a missing file, and ``represent --help`` pins the usage
+text. Each case runs ``igbotext.cli.main`` in-process, with relative
+paths from one working directory, and must match the exit code and the
+sha256 of the output file, stdout and stderr in
+``fixtures/cli_sha256.json``.
+
+That file was generated once from an earlier commit (named in
+CHANGES.md) and is never regenerated to fit a change: a failing case
+means that an output byte, a message or an exit code changed. The usage
+and help text is written by ``argparse``; the file was made under Python
+3.11.7, and Pythons 3.10.13, 3.12.1 and 3.13.0 give the same bytes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from igbotext.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SNAPSHOT = json.loads((FIXTURES / "cli_sha256.json").read_text(encoding="utf-8"))
+
+DOCS = ("doc1", "edge")
+MODES = ("paper", "strict")
+FORMATS = ("tsv", "json")
+
+
+def _cases() -> dict[str, list[str]]:
+    cases: dict[str, list[str]] = {}
+    for mode in MODES:
+        for fmt in FORMATS:
+            flags = ["--mode", mode, "--format", fmt]
+            for doc in DOCS:
+                for command in ("normalize", "tokenize", "features"):
+                    cases[f"{command}-{doc}-{mode}-{fmt}"] = [command, f"{doc}.txt", *flags]
+                for n in ("1,2,3", "2"):
+                    cases[f"represent-n{n}-{doc}-{mode}-{fmt}"] = [
+                        "represent", f"{doc}.txt", "--n", n, *flags
+                    ]
+            for n in ("1", "2", "3"):
+                cases[f"matrix-n{n}-{mode}-{fmt}"] = ["matrix", "corpus", "--n", n, *flags]
+    cases["represent-n7"] = ["represent", "doc1.txt", "--n", "7"]
+    cases["matrix-n7"] = ["matrix", "corpus", "--n", "7"]
+    cases["mode-bogus"] = ["represent", "doc1.txt", "--mode", "bogus"]
+    cases["missing-file"] = ["represent", "missing.txt"]
+    cases["help-represent"] = ["represent", "--help"]
+    return cases
+
+
+CASES = _cases()
+
+
+def make_workspace(root: Path) -> None:
+    """The documents every case names, relative to ``root``."""
+    corpus = root / "corpus"
+    corpus.mkdir()
+    for doc in DOCS:
+        data = (FIXTURES / f"{doc}.txt").read_bytes()
+        (root / f"{doc}.txt").write_bytes(data)
+        (corpus / f"{doc}.txt").write_bytes(data)
+    (corpus / "empty.txt").write_bytes(b"")
+
+
+def _sha256(data: bytes | None) -> str | None:
+    return None if data is None else hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv: list[str], output: Path) -> dict:
+    """Exit code and digests of one run of ``main`` in the current directory.
+
+    Help is printed to stdout, so a ``--help`` run writes no output file.
+    """
+    if "--help" not in argv:
+        argv = [*argv, "--output", str(output)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
+    return {
+        "exit": code,
+        "output": _sha256(output.read_bytes() if output.exists() else None),
+        "stdout": _sha256(stdout.getvalue().encode("utf-8")),
+        "stderr": _sha256(stderr.getvalue().encode("utf-8")),
+    }
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("cli-bytes")
+    make_workspace(root)
+    return root
+
+
+@pytest.fixture()
+def in_workspace(workspace, monkeypatch):
+    monkeypatch.chdir(workspace)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to this width
+    return workspace
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_bytes_match_snapshot(case, in_workspace, tmp_path):
+    got = run_case(CASES[case], tmp_path / "out")
+    assert got == SNAPSHOT[case], f"{case}: {CASES[case]}"
+
+
+def test_snapshot_covers_exactly_the_cases():
+    assert sorted(SNAPSHOT) == sorted(CASES)

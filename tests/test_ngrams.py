@@ -138,8 +138,9 @@ def test_trigram_conditional(model):
 
 # Corpus tables are merged by build_doc_term_matrix: its feature axis
 # holds the summed counts, and each row is one document's table.
-def _matrix(n, *tables):
-    bundles = [RepresentationBundle(t.doc_id, {t.n: t}) for t in tables]
+# Each document is a (doc id, order, table) triple.
+def _matrix(n, *docs):
+    bundles = [RepresentationBundle(doc_id, {order: t}) for doc_id, order, t in docs]
     return build_doc_term_matrix(bundles, n)
 
 
@@ -151,19 +152,19 @@ def _column_sums(matrix):
 
 
 def test_merge_counts_add():
-    a = NGramTable(1, {("a",): 1}, 1, "x")
-    b = NGramTable(1, {("a",): 2}, 2, "y")
-    matrix = _matrix(1, a, b)
+    a = NGramTable({("a",): 1}, 1)
+    b = NGramTable({("a",): 2}, 2)
+    matrix = _matrix(1, ("x", 1, a), ("y", 1, b))
     assert matrix.features == (("a",),)
     assert _column_sums(matrix) == {("a",): 3}
     assert [sum(row.values()) for row in matrix.rows] == [a.total_windows, b.total_windows]
 
 
 def test_merge_with_empty_is_identity_on_counts():
-    t = NGramTable(2, {("a", "b"): 2, ("b", "c"): 1}, 3, "x")
-    empty = NGramTable(2, {}, 0, "y")
-    alone = _matrix(2, t)
-    merged = _matrix(2, t, empty)
+    t = NGramTable({("a", "b"): 2, ("b", "c"): 1}, 3)
+    empty = NGramTable({}, 0)
+    alone = _matrix(2, ("x", 2, t))
+    merged = _matrix(2, ("x", 2, t), ("y", 2, empty))
     assert merged.features == alone.features
     assert _column_sums(merged) == _column_sums(alone) == t.counts
     assert merged.rows == (*alone.rows, {})
@@ -171,7 +172,7 @@ def test_merge_with_empty_is_identity_on_counts():
 
 def test_merge_order_mismatch():
     with pytest.raises(OrderMismatchError):
-        _matrix(2, NGramTable(2, {}, 0, "x"), NGramTable(1, {}, 0, "y"))
+        _matrix(2, ("x", 2, NGramTable({}, 0)), ("y", 1, NGramTable({}, 0)))
 
 
 def test_split_and_merge_recovers_whole_document_counts():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import tracemalloc
 from collections import Counter
 
@@ -154,13 +155,13 @@ def test_mode_given_as_its_value_is_that_mode(doc1):
     cfg = PipelineConfig(mode="strict")
     assert cfg.mode is Mode.STRICT
     assert run_pipeline(doc1, cfg).tables[1].counts == STRICT_UNIGRAMS
-    assert PipelineConfig(mode="paper_golden").mode is Mode.PAPER_GOLDEN
+    assert PipelineConfig(mode="paper").mode is Mode.PAPER_GOLDEN
 
 
 def test_unknown_mode_is_a_value_error_naming_it():
-    # "paper" is the CLI's spelling, not a Mode value.
-    with pytest.raises(ValueError, match="'paper'"):
-        PipelineConfig(mode="paper")
+    # A mode's value is its CLI name; the member's name is not a value.
+    with pytest.raises(ValueError, match="'paper_golden'"):
+        PipelineConfig(mode="paper_golden")
 
 
 def test_stoplist_decode_error_names_stage(tmp_path):
@@ -215,7 +216,7 @@ def _disjoint_bundles() -> list[RepresentationBundle]:
     bundles = []
     for i in range(400):
         counts = {(f"w{i}", f"x{k}"): 1 + k % 3 for k in range(10)}
-        table = NGramTable(2, counts, sum(counts.values()), f"d{i}")
+        table = NGramTable(counts, sum(counts.values()))
         bundles.append(RepresentationBundle(doc_id=f"d{i}", tables={2: table}))
     return bundles
 
@@ -261,7 +262,7 @@ def test_tsv_first_line(doc1_bundle):
 
 
 def test_tsv_empty_table():
-    empty = NGramTable(1, {}, 0, "d")
+    empty = NGramTable({}, 0)
     assert table_to_tsv(empty) == ""
 
 
@@ -279,6 +280,111 @@ def test_json_roundtrip(doc1_bundle):
         assert parsed.tables[n].counts == doc1_bundle.tables[n].counts
         assert parsed.tables[n].total_windows == doc1_bundle.tables[n].total_windows
     assert bundle_to_json(parsed) == text
+
+
+def _table_obj(**fields) -> dict:
+    obj = {
+        "doc_id": "d",
+        "n": 2,
+        "total": 3,
+        "entries": [{"gram": ["a", "b"], "count": 2}, {"gram": ["b", "c"], "count": 1}],
+    }
+    obj.update(fields)
+    return obj
+
+
+def _entries(*pairs) -> list[dict]:
+    return [{"gram": gram, "count": count} for gram, count in pairs]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param(
+            _table_obj(n=7, total=-1, entries=_entries((["a"], 5))),
+            r"^table object 0: n 7 is not one of \(1, 2, 3\)$",
+            id="order-7",
+        ),
+        pytest.param(
+            _table_obj(entries=_entries((["a", "b"], 2), (["a", "b"], 1))),
+            r"^table object 0: entries\[1\]\.gram \['a', 'b'\] repeats an earlier entry$",
+            id="gram-repeated",
+        ),
+        pytest.param(
+            _table_obj(total=1, entries=_entries(("ab", 1))),
+            r"^table object 0: entries\[0\]\.gram 'ab' is not a list of 2 strings$",
+            id="gram-a-string",
+        ),
+        pytest.param(
+            _table_obj(total=1, entries=_entries((["a"], 1))),
+            r"^table object 0: entries\[0\]\.gram \['a'\] is not a list of 2 strings$",
+            id="gram-too-short",
+        ),
+        pytest.param(
+            _table_obj(total=1, entries=_entries((["a", 1], 1))),
+            r"^table object 0: entries\[0\]\.gram \['a', 1\] is not a list of 2 strings$",
+            id="word-not-a-string",
+        ),
+        pytest.param(
+            [_table_obj(), _table_obj()],
+            r"^table object 1: n 2 repeats an earlier table's order$",
+            id="order-repeated",
+        ),
+        pytest.param(
+            _table_obj(total=1.9, entries=_entries((["a", "b"], 1.9))),
+            r"^table object 0: entries\[0\]\.count 1\.9 is not an int of at least 1$",
+            id="count-fraction",
+        ),
+        pytest.param(
+            _table_obj(total=0, entries=_entries((["a", "b"], 0))),
+            r"^table object 0: entries\[0\]\.count 0 is not an int of at least 1$",
+            id="count-zero",
+        ),
+        pytest.param(
+            _table_obj(total=1, entries=_entries((["a", "b"], True))),
+            r"^table object 0: entries\[0\]\.count True is not an int of at least 1$",
+            id="count-bool",
+        ),
+        pytest.param(
+            _table_obj(total=4),
+            r"^table object 0: total 4 is not the sum of the counts, 3$",
+            id="total-not-the-sum",
+        ),
+        pytest.param(
+            {key: value for key, value in _table_obj().items() if key != "total"},
+            r"^table object 0: fields must be doc_id, n, total and entries$",
+            id="field-missing",
+        ),
+        pytest.param(
+            _table_obj(mode="paper"),
+            r"^table object 0: fields must be doc_id, n, total and entries$",
+            id="field-extra",
+        ),
+        pytest.param(
+            "d",
+            r"^table object 0: fields must be doc_id, n, total and entries$",
+            id="object-a-string",
+        ),
+        pytest.param(
+            _table_obj(entries=[["a", "b"]]),
+            r"^table object 0: entries\[0\]: fields must be gram and count$",
+            id="entry-a-list",
+        ),
+        pytest.param(
+            _table_obj(doc_id=5),
+            r"^table object 0: doc_id 5 is not a string$",
+            id="doc-id-a-number",
+        ),
+        pytest.param(
+            [],
+            r"^bundle JSON holds no table object$",
+            id="no-table",
+        ),
+    ],
+)
+def test_bundle_json_reader_names_what_it_rejects(payload, message):
+    with pytest.raises(ValueError, match=message):
+        bundle_from_json(json.dumps(payload))
 
 
 def test_json_single_order_shape(doc1, golden_pipeline):

@@ -7,6 +7,7 @@ invoke the same functions directly and time them.
 
 from __future__ import annotations
 
+import json
 import math
 import tempfile
 import unicodedata
@@ -33,6 +34,8 @@ from igbotext.normalize import normalize, strip_tone_marks, tokenize
 from igbotext.pipeline import (
     RepresentationBundle,
     build_doc_term_matrix,
+    bundle_from_json,
+    bundle_to_json,
     table_to_obj,
     table_to_tsv,
 )
@@ -137,19 +140,20 @@ def test_merge_commutative_and_associative(xs, ys, zs, n):
     # Corpus tables are merged by build_doc_term_matrix: its feature axis
     # and column sums are the merged counts, whatever the document order
     # or grouping.
-    a = extract_ngrams(_stream(xs), n, "a")
-    b = extract_ngrams(_stream(ys), n, "b")
-    c = extract_ngrams(_stream(zs), n, "c")
+    # Each document is a (doc id, table) pair.
+    a = ("a", extract_ngrams(_stream(xs), n))
+    b = ("b", extract_ngrams(_stream(ys), n))
+    c = ("c", extract_ngrams(_stream(zs), n))
 
-    def joined(*tables: NGramTable) -> NGramTable:
-        counts = sum((Counter(t.counts) for t in tables), Counter())
-        total = sum(t.total_windows for t in tables)
-        return NGramTable(n, dict(counts), total, "+".join(t.doc_id for t in tables))
+    def joined(*docs: tuple[str, NGramTable]) -> tuple[str, NGramTable]:
+        counts = sum((Counter(t.counts) for _, t in docs), Counter())
+        total = sum(t.total_windows for _, t in docs)
+        return "+".join(doc_id for doc_id, _ in docs), NGramTable(dict(counts), total)
 
-    def merged(*tables: NGramTable):
-        bundles = [RepresentationBundle(t.doc_id, {n: t}) for t in tables]
+    def merged(*docs: tuple[str, NGramTable]):
+        bundles = [RepresentationBundle(doc_id, {n: t}) for doc_id, t in docs]
         matrix = build_doc_term_matrix(bundles, n)
-        for row, t in zip(matrix.rows, tables):
+        for row, (_, t) in zip(matrix.rows, docs):
             assert sum(row.values()) == t.total_windows
         sums = Counter()
         for row in matrix.rows:
@@ -157,7 +161,7 @@ def test_merge_commutative_and_associative(xs, ys, zs, n):
         return matrix.features, {matrix.features[j]: count for j, count in sums.items()}
 
     features, sums = merged(a, b, c)
-    assert sums == Counter(a.counts) + Counter(b.counts) + Counter(c.counts)
+    assert sums == Counter(a[1].counts) + Counter(b[1].counts) + Counter(c[1].counts)
     assert set(features) == set(sums)
     for order in ((a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
         assert merged(*order) == (features, sums)
@@ -193,6 +197,33 @@ def test_utf8_roundtrip(text):
     raw = doc.text.encode("utf-8")
     assert decode_utf8(raw, doc.id) == doc
     assert decode_utf8(raw, doc.id).text.encode("utf-8") == raw
+
+
+# Words that JSON must escape or keep as they are: quotes, backslashes,
+# control characters, NFC and NFD spellings, curly apostrophes, spaces.
+json_words = st.text(alphabet='ab"\\\n\x01\u00e9e\u0301\u1ee5’ ', min_size=1, max_size=3)
+
+
+@given(
+    st.lists(json_words, max_size=40),
+    st.sets(st.sampled_from(ORDERS), min_size=1),
+    st.text(max_size=8),
+)
+@example(["a", "b", "a"], {2}, "d")  # one table object
+@example(["a", "b", "a"], {1, 2, 3}, "d")  # a list of them
+@example([], {1, 3}, "")
+@settings(max_examples=300, deadline=None)
+def test_bundle_json_round_trip(tokens, orders, doc_id):
+    bundle = RepresentationBundle(doc_id, {n: extract_ngrams(tuple(tokens), n) for n in orders})
+    text = bundle_to_json(bundle)
+    assert isinstance(json.loads(text), dict) == (len(orders) == 1)
+    parsed = bundle_from_json(text)
+    assert parsed.doc_id == doc_id
+    assert sorted(parsed.tables) == sorted(orders)
+    for n in orders:
+        assert parsed.tables[n].counts == bundle.tables[n].counts
+        assert parsed.tables[n].total_windows == bundle.tables[n].total_windows
+    assert bundle_to_json(parsed) == text
 
 
 @given(streams, st.lists(words, min_size=1, max_size=6))
@@ -314,7 +345,7 @@ def matrix_corpora(draw):
 @example(["na ya", ""], 2, "paper")
 def test_matrix_output_matches_dense_reference(texts, n, mode):
     strict = mode == "strict"
-    stopwords = _PIPELINES[Mode.parse(mode)].stoplist
+    stopwords = _PIPELINES[Mode(mode)].stoplist
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         tables = []
@@ -355,11 +386,11 @@ def arbitrary_tables(draw):
 def test_every_ranking_matches_the_reference_sort(n_table):
     n, counts = n_table
     expected = reference_rank(counts)
-    table = NGramTable(n, counts, sum(counts.values()), "d")
+    table = NGramTable(counts, sum(counts.values()))
     assert rank_features(table.counts) == expected
     tsv = "".join(f"{' '.join(gram)}\t{count}\n" for gram, count in expected)
     assert table_to_tsv(table).encode("utf-8") == tsv.encode("utf-8")
-    assert table_to_obj(table)["entries"] == [
+    assert table_to_obj(RepresentationBundle("d", {n: table}), n)["entries"] == [
         {"gram": list(gram), "count": count} for gram, count in expected
     ]
     # One lexicon entry per gram, plus one that is not in the stream. Each
