@@ -9,7 +9,6 @@ configuration, the MLE functions and the error types. Every other name
 lives in its module (``igbotext.normalize``, ``igbotext.ngrams``, ...).
 """
 
-from .config import Mode
 from .errors import (
     DecodeError,
     EmptyModelError,
@@ -24,6 +23,7 @@ from .errors import (
 )
 from .lexicon import KeyFeature
 from .ngrams import LanguageModel, bigram_conditional, trigram_conditional, unigram_probability
+from .normalize import Mode
 from .pipeline import Pipeline, PipelineConfig, bundle_from_json, run_pipeline
 from .textio import load_corpus
 

@@ -12,7 +12,6 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from .config import Mode
 from .errors import (
     DecodeError,
     IgboTextError,
@@ -21,7 +20,7 @@ from .errors import (
     PipelineStageError,
 )
 from .ngrams import ORDERS
-from .normalize import normalize, tokenize
+from .normalize import Mode, normalize, tokenize
 from .pipeline import (
     Pipeline,
     PipelineConfig,

@@ -23,11 +23,11 @@ class DecodeError(IgboTextError):
 
 
 class InvalidOrderError(IgboTextError, ValueError):
-    """N-gram order outside the supported orders (``ngrams.ORDERS``)."""
+    """A value that is not an n-gram order: an int of ``ngrams.ORDERS``."""
 
-    def __init__(self, n: int, orders: tuple[int, ...]) -> None:
+    def __init__(self, n: object, orders: tuple[int, ...]) -> None:
         self.n = n
-        super().__init__(f"n-gram order must be one of {', '.join(map(str, orders))}, got {n}")
+        super().__init__(f"n-gram order must be one of {', '.join(map(str, orders))}, got {n!r}")
 
 
 class EmptyModelError(IgboTextError):

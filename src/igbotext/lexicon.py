@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress, count
 
 from .errors import LexiconFormatError, LexiconInvariantError
 from .ngrams import ORDERS, NGram, rank_rows
-from .normalize import strip_tone_marks
+from .normalize import fold
 from .textio import decode_utf8
 
 
@@ -34,16 +34,10 @@ _SINGLE_WORD_CATEGORIES = frozenset({CompoundCategory.PROPER, CompoundCategory.D
 
 
 @dataclass(frozen=True)
-class LexiconEntry:
-    phrase: tuple[str, ...]
-    gloss: str
-    category: CompoundCategory
-
-
-@dataclass(frozen=True)
 class KeyFeature:
-    """A lexicon phrase found in a document: ``count`` is the number of
-    windows of the stop-filtered token stream that spell it."""
+    """A lexicon entry: its folded phrase as ``gram``, gloss, category and
+    ``count``, 0 as loaded. ``match_key_features`` sets ``count`` to the
+    number of windows of the stop-filtered token stream that spell it."""
 
     gram: NGram
     gloss: str
@@ -51,8 +45,8 @@ class KeyFeature:
     count: int
 
 
-def _validate_entry(entry: LexiconEntry, where: str) -> None:
-    n = len(entry.phrase)
+def _validate_entry(entry: KeyFeature, where: str) -> None:
+    n = len(entry.gram)
     # A phrase is counted as the windows of its own length, so its count
     # is also an entry of the n-gram table of that order.
     if n not in ORDERS:
@@ -69,26 +63,27 @@ def _validate_entry(entry: LexiconEntry, where: str) -> None:
         raise LexiconInvariantError(
             f"{where}: {entry.category.value} compounds have at least two words"
         )
-    repeated = len(set(entry.phrase)) == 1
+    repeated = len(set(entry.gram)) == 1
     if entry.category is CompoundCategory.DUPLICATED and not repeated:
         raise LexiconInvariantError(f"{where}: Duplicated compounds repeat one word exactly")
     if repeated and entry.category is not CompoundCategory.DUPLICATED:
         raise LexiconInvariantError(f"{where}: repeated words demand category Duplicated")
-    if entry.category is CompoundCategory.COORDINATE and "na" not in entry.phrase[1:-1]:
+    if entry.category is CompoundCategory.COORDINATE and "na" not in entry.gram[1:-1]:
         raise LexiconInvariantError(f"{where}: Coordinate compounds join words with interior 'na'")
 
 
-def load_lexicon(data: bytes, source_id: str) -> list[LexiconEntry]:
+def load_lexicon(data: bytes, source_id: str) -> list[KeyFeature]:
     """Parse a lexicon file: one TAB-separated entry per non-empty line.
 
     Format: phrase (space-separated words) TAB gloss TAB category name.
-    Lines starting with '#' are ignored. Phrases are folded as text is
-    (lowercase, tone marks stripped, NFC), so that any spelling of a
-    phrase matches its normalized tokens. Violations of the category
-    rules raise LexiconInvariantError naming the line.
+    Lines starting with '#' are ignored. Each entry is a ``KeyFeature``
+    of count 0 whose gram is the phrase folded as text is
+    (``normalize.fold``), so that any spelling of a phrase matches its
+    normalized tokens. Violations of the category rules raise
+    LexiconInvariantError naming the line.
     """
     text = decode_utf8(data, source_id).text
-    entries: list[LexiconEntry] = []
+    entries: list[KeyFeature] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -103,30 +98,30 @@ def load_lexicon(data: bytes, source_id: str) -> list[LexiconEntry]:
             category = CompoundCategory(category_name)
         except ValueError:
             raise LexiconFormatError(f"{where}: unknown category {category_name!r}") from None
-        entry = LexiconEntry(
-            phrase=tuple(strip_tone_marks(phrase_text.lower()).split()),
-            gloss=gloss,
-            category=category,
+        entry = KeyFeature(
+            gram=tuple(fold(phrase_text).split()), gloss=gloss, category=category, count=0
         )
         _validate_entry(entry, where)
         entries.append(entry)
     return entries
 
 
-def match_key_features(tokens: Sequence[str], lex: list[LexiconEntry]) -> list[KeyFeature]:
-    """Lexicon phrases found in a stop-filtered token stream, with counts.
+def match_key_features(tokens: Sequence[str], lex: list[KeyFeature]) -> list[KeyFeature]:
+    """The lexicon entries found in a stop-filtered token stream, each a
+    copy of its entry with the count set.
 
     A phrase of n words counts every window of n tokens that spells it,
     overlapping ones included (``a a a`` holds ``a a`` twice): the count
     of the phrase in the stream's order-n table. Every entry whose phrase
-    occurs is reported, a duplicate entry as often as it is listed. Output
-    is in rank order (``ngrams.rank_rows``): descending count, then the
-    space-joined gram; entries equal on both keep their lexicon order.
+    occurs is reported, a duplicate entry as often as it is listed; an
+    entry's own count is not read. Output is in rank order
+    (``ngrams.rank_rows``): descending count, then the space-joined gram;
+    entries equal on both keep their lexicon order.
     """
     tokens = tuple(tokens)
     by_first: dict[str, set[NGram]] = {}
     for entry in lex:
-        by_first.setdefault(entry.phrase[0], set()).add(entry.phrase)
+        by_first.setdefault(entry.gram[0], set()).add(entry.gram)
     found: Counter[NGram] = Counter()
     # Only positions whose token starts some phrase are visited; the walk
     # that finds them runs in C.
@@ -134,8 +129,5 @@ def match_key_features(tokens: Sequence[str], lex: list[LexiconEntry]) -> list[K
         for phrase in by_first[tokens[i]]:
             if tokens[i:i + len(phrase)] == phrase:
                 found[phrase] += 1
-    rows = [(" ".join(e.phrase), found[e.phrase], e) for e in lex if e.phrase in found]
-    return [
-        KeyFeature(gram=entry.phrase, gloss=entry.gloss, category=entry.category, count=n)
-        for _, n, entry in rank_rows(rows)
-    ]
+    rows = [(" ".join(e.gram), found[e.gram], e) for e in lex if e.gram in found]
+    return [replace(entry, count=n) for _, n, entry in rank_rows(rows)]

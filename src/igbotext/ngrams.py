@@ -25,6 +25,17 @@ Row = TypeVar("Row", bound=tuple)
 ORDERS = (1, 2, 3)
 
 
+def is_whole(value: object) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_order(n: object) -> bool:
+    """Whether ``n`` is an n-gram order: a whole number in ``ORDERS``.
+    ``True`` and ``1.0`` both equal 1, yet neither is an order."""
+    return is_whole(n) and n in ORDERS
+
+
 @dataclass(frozen=True)
 class NGramTable:
     """Counts of one order's windows and the number of windows. The
@@ -45,9 +56,9 @@ class LanguageModel:
 
 def extract_ngrams(tokens: Sequence[str], n: int) -> NGramTable:
     """The table of every contiguous window of n tokens; of T tokens there
-    are max(0, T-n+1) windows. An order outside ``ORDERS`` is an
+    are max(0, T-n+1) windows. Anything but an order (``is_order``) is an
     ``InvalidOrderError``."""
-    if n not in ORDERS:
+    if not is_order(n):
         raise InvalidOrderError(n, ORDERS)
     counts = Counter(zip(*(tokens[i:] for i in range(n))))
     return NGramTable(counts=dict(counts), total_windows=max(0, len(tokens) - n + 1))

@@ -1,5 +1,5 @@
-"""Igbo text normalization (lowercasing, tone-mark stripping, noise
-removal) and the whitespace tokenization of its output.
+"""Igbo text normalization, its modes and its fold (shared with the data
+files), and the whitespace tokenization of its output.
 
 Both modes turn apostrophes into word boundaries; Mode.STRICT turns
 hyphens into word boundaries too, while Mode.PAPER_GOLDEN keeps
@@ -13,8 +13,24 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from enum import Enum
 
-from .config import Mode
+
+class Mode(str, Enum):
+    """Two documented pipeline behaviours, each valued by its CLI name.
+
+    Both modes split words at apostrophes (``_BOUNDARY``). PAPER_GOLDEN
+    ("paper") keeps hyphenated tokens whole and applies no minimum token
+    length (``stopwords.remove_stopwords``); it is the configuration the
+    golden doc1 frequency tables were produced under. STRICT ("strict")
+    also splits words at hyphens, which separates clitic prefixes
+    ("na-ese" → "na ese"), and drops tokens shorter than three characters.
+    Any other value is a ValueError that names it.
+    """
+
+    PAPER_GOLDEN = "paper"
+    STRICT = "strict"
+
 
 # Combining marks that encode tone, stripped after canonical decomposition.
 TONE_MARKS = "\u0300\u0301\u0304"  # grave, acute, macron
@@ -57,29 +73,29 @@ def _drop_leading_marks(match: re.Match[str]) -> str:
     return " " + word[i:] if i < len(word) else ""
 
 
-def strip_tone_marks(text: str) -> str:
-    """Remove grave/acute/macron combining marks, preserving the dot below.
+def fold(text: str) -> str:
+    """``text`` lowercased, tone marks stripped, in NFC: the one fold of
+    text (``normalize``), stop-word entries and lexicon phrases.
 
-    The text is decomposed canonically, tone marks filtered out, and the
-    result recomposed, so precomposed ("è") and combining-sequence inputs
-    behave identically.
-    """
-    decomposed = unicodedata.normalize("NFD", text)
+    The lowered text is decomposed canonically, the grave, acute and macron
+    marks removed and the rest recomposed, so "È" and "E" + U+0300 fold
+    alike. The dot below of ị, ọ and ụ is part of the letter and stays."""
+    decomposed = unicodedata.normalize("NFD", text.lower())
     return unicodedata.normalize("NFC", _TONE.sub("", decomposed))
 
 
 def normalize(text: str, mode: Mode) -> str:
     """Normalized NFC text, words joined by single spaces.
 
-    Steps, in order: lowercase (Ụ→ụ included); strip tone marks; drop
-    every word containing a digit; delete currency signs and the listed
+    Steps, in order: ``fold`` (lowercase, Ụ→ụ included; strip tone marks);
+    drop every word containing a digit; delete currency signs and the listed
     punctuation; turn apostrophes (and, in strict mode, hyphens) into
     word boundaries; recompose; drop the combining marks that start a
     word. Words emptied by deletion vanish, and so do words of marks alone.
     """
     # A digit word goes with the whitespace before it, which a space
     # replaces; split() below drops the extra spaces.
-    text = _DELETED.sub("", _DIGIT_WORD.sub(" ", " " + strip_tone_marks(text.lower())))
+    text = _DELETED.sub("", _DIGIT_WORD.sub(" ", " " + fold(text)))
     for boundary in _BOUNDARY[mode]:
         text = text.replace(boundary, " ")
     text = " ".join(text.split())

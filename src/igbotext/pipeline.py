@@ -17,11 +17,12 @@ from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 
-from .config import Mode
 from .errors import IgboTextError, InvalidOrderError, OrderMismatchError, PipelineStageError
-from .lexicon import KeyFeature, LexiconEntry, load_lexicon, match_key_features
-from .ngrams import ORDERS, NGram, NGramTable, extract_ngrams, rank_features, rank_rows
-from .normalize import normalize, tokenize
+from .lexicon import KeyFeature, load_lexicon, match_key_features
+from .ngrams import (
+    ORDERS, NGram, NGramTable, extract_ngrams, is_order, is_whole, rank_features, rank_rows
+)
+from .normalize import Mode, normalize, tokenize
 from .stopwords import load_stoplist, remove_stopwords
 from .textio import Document
 
@@ -46,7 +47,7 @@ class PipelineConfig:
         if not self.orders:
             raise ValueError("orders must be non-empty")
         for n in self.orders:
-            if n not in ORDERS:
+            if not is_order(n):
                 raise InvalidOrderError(n, ORDERS)
         object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
 
@@ -86,7 +87,7 @@ class Pipeline:
         )
 
     @cached_property
-    def lexicon(self) -> list[LexiconEntry]:
+    def lexicon(self) -> list[KeyFeature]:
         return _stage("load-lexicon", load_lexicon, self.cfg.lexicon_path or DATA / "lexicon.tsv")
 
     def _filtered(self, doc: Document) -> tuple[str, ...]:
@@ -192,10 +193,6 @@ def bundle_to_json(b: RepresentationBundle) -> str:
     return to_json(objs[0] if len(objs) == 1 else objs)
 
 
-def _whole(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def bundle_from_json(text: str) -> RepresentationBundle:
     """The bundle that ``bundle_to_json`` wrote as ``text``.
 
@@ -220,7 +217,7 @@ def bundle_from_json(text: str) -> RepresentationBundle:
         doc_id, n, entries = obj["doc_id"], obj["n"], obj["entries"]
         if not isinstance(doc_id, str):
             raise ValueError(f"{where}: doc_id {doc_id!r} is not a string")
-        if not _whole(n) or n not in ORDERS:
+        if not is_order(n):
             raise ValueError(f"{where}: n {n!r} is not one of {ORDERS}")
         if n in tables:
             raise ValueError(f"{where}: n {n} repeats an earlier table's order")
@@ -238,11 +235,11 @@ def bundle_from_json(text: str) -> RepresentationBundle:
             key = tuple(gram)
             if key in counts:
                 raise ValueError(f"{field}.gram {gram!r} repeats an earlier entry")
-            if not _whole(count) or count < 1:
+            if not is_whole(count) or count < 1:
                 raise ValueError(f"{field}.count {count!r} is not an int of at least 1")
             counts[key] = count
         total, windows = obj["total"], sum(counts.values())
-        if not _whole(total) or total != windows:
+        if not is_whole(total) or total != windows:
             raise ValueError(f"{where}: total {total!r} is not the sum of the counts, {windows}")
         doc_ids.add(doc_id)
         tables[n] = NGramTable(counts=counts, total_windows=total)
@@ -278,6 +275,10 @@ def _dense_rows(
         yield "".join(pieces)
 
 
+# The characters that end a TSV cell or row.
+_TSV_BREAKS = frozenset("\t\r\n")
+
+
 def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
     """TSV lines, made one at a time: a header, then one row per document.
 
@@ -285,11 +286,20 @@ def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
     per feature. Each row is cut from one line of zeros (``_dense_rows``),
     so only one dense row exists at a time and its work follows its
     non-zero cells. An empty matrix yields nothing.
+
+    A document id holding a TAB, CR or LF would break its row, so it is
+    a ValueError that names it, raised here, before any line is made.
     """
+    for doc_id in m.doc_ids:
+        if not _TSV_BREAKS.isdisjoint(doc_id):
+            raise ValueError(
+                f"document id {doc_id!r} holds a TAB or line break, "
+                "which a TSV row cannot; use --format json"
+            )
     if not m.doc_ids and not m.features:
-        return
-    yield "\t".join(["doc_id", *(" ".join(gram) for gram in m.features)]) + "\n"
-    yield from _dense_rows(m, m.doc_ids, "\t", "\n")
+        return iter(())
+    header = "\t".join(["doc_id", *(" ".join(gram) for gram in m.features)]) + "\n"
+    return chain([header], _dense_rows(m, m.doc_ids, "\t", "\n"))
 
 
 # json.dumps with an indent, as in to_json, runs the pure-Python encoder;

@@ -12,9 +12,8 @@ from __future__ import annotations
 import re
 import warnings
 
-from .config import Mode
 from .errors import EmptyStopListWarning
-from .normalize import strip_tone_marks
+from .normalize import Mode, fold
 from .textio import decode_utf8
 
 # Strict mode drops tokens shorter than this many scalar values.
@@ -24,14 +23,14 @@ STRICT_MIN_TOKEN_LENGTH = 3
 def load_stoplist(data: bytes, source_id: str) -> frozenset[str]:
     """Parse a stop-word file: entries split on commas and line breaks.
 
-    Entries are trimmed, folded as text is (lowercase, tone marks
-    stripped, NFC) and deduplicated, so that any spelling of a word
-    removes its normalized token; a zero-entry result emits
-    EmptyStopListWarning rather than failing.
+    Entries are trimmed, folded as text is (``normalize.fold``) and
+    deduplicated, so that any spelling of a word removes its normalized
+    token; a zero-entry result emits EmptyStopListWarning rather than
+    failing.
     """
     text = decode_utf8(data, source_id).text
     entries = frozenset(
-        strip_tone_marks(piece.strip().lower()).replace("'", "’")
+        fold(piece.strip()).replace("'", "’")
         for piece in re.split(r"[,\r\n]", text)
         if piece.strip()
     )

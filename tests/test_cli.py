@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 
@@ -194,6 +195,24 @@ def test_matrix_skips_directories_named_like_documents(tmp_path):
     proc = run_cli("matrix", str(tmp_path), "--n", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1:] == [f"{tmp_path / 'a.txt'}\t1\t1"]
+
+
+def test_matrix_tsv_refuses_file_names_holding_a_tab_or_line_break(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    names = ["a\tb.txt", "c\nd.txt", "e.txt"]
+    for name in names:
+        (corpus / name).write_text("komputa nkunaka", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    proc = run_cli("matrix", str(corpus), "--output", str(out))
+    assert proc.returncode == 1
+    assert repr(str(corpus / "a\tb.txt")) in proc.stderr
+    assert "--format json" in proc.stderr
+    assert not out.exists() and proc.stdout == ""
+    # JSON escapes both names.
+    proc = run_cli("matrix", str(corpus), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["docs"] == [str(corpus / name) for name in names]
 
 
 def test_bad_order_gives_one_message_for_represent_and_matrix(tmp_path):

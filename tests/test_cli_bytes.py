@@ -6,7 +6,11 @@ combining marks, hyphens, curly apostrophes, digits, a currency sign,
 lexicon phrases and bare punctuation); ``matrix`` runs over a directory
 holding both and an empty document. The error runs are a bad order, a
 bad mode and a missing file, and ``represent --help`` pins the usage
-text. Each case runs ``igbotext.cli.main`` in-process, with relative
+text. The data-file runs pass ``--stopwords`` to ``represent``,
+``matrix`` and ``features`` and ``--lexicon`` to ``features``, in both
+modes, on files whose entries need folding (tone marks, NFD, capitals,
+a straight apostrophe); the data-file errors are an undecodable and a
+missing stop list, three malformed lexicons and a non-integer ``--n``. Each case runs ``igbotext.cli.main`` in-process, with relative
 paths from one working directory, and must match the exit code and the
 sha256 of the output file, stdout and stderr in
 ``fixtures/cli_sha256.json``.
@@ -57,10 +61,38 @@ def _cases() -> dict[str, list[str]]:
     cases["mode-bogus"] = ["represent", "doc1.txt", "--mode", "bogus"]
     cases["missing-file"] = ["represent", "missing.txt"]
     cases["help-represent"] = ["represent", "--help"]
+    for mode in MODES:
+        stop = ["--stopwords", "stop.txt", "--mode", mode]
+        for doc in DOCS:
+            cases[f"represent-stop-{doc}-{mode}"] = ["represent", f"{doc}.txt", *stop]
+            cases[f"features-stop-lex-{doc}-{mode}"] = [
+                "features", f"{doc}.txt", "--lexicon", "lex.tsv", *stop
+            ]
+        cases[f"matrix-n2-stop-{mode}"] = ["matrix", "corpus", "--n", "2", *stop]
+    cases["stop-undecodable"] = ["represent", "doc1.txt", "--stopwords", "stop-bad.txt"]
+    cases["stop-missing"] = ["represent", "doc1.txt", "--stopwords", "missing-stop.txt"]
+    for name in ("four-words", "unknown-category", "two-fields"):
+        cases[f"lex-{name}"] = ["features", "doc1.txt", "--lexicon", f"lex-{name}.tsv"]
+    cases["represent-nx"] = ["represent", "doc1.txt", "--n", "x"]
+    cases["matrix-nx"] = ["matrix", "corpus", "--n", "x"]
     return cases
 
 
 CASES = _cases()
+
+# The data files the ``--stopwords`` and ``--lexicon`` cases name. The
+# NFD spellings are written out so that no editor recomposes them.
+DATA_FILES = {
+    "stop.txt": "Àhụ\na\u0323hu\u0323\nN'\nNDI\n".encode("utf-8"),
+    "stop-bad.txt": b"ahu\n\xff\xfe\n",
+    "lex.tsv": (
+        "KÒMPUTA nkunaka\tlaptop\tNominal\n"
+        "ezi na u\u0323\u0300lo\u0323\tfamily\tCoordinate\n"
+    ).encode("utf-8"),
+    "lex-four-words.tsv": "ezi na ụlọ ya\tfamily\tCoordinate\n".encode("utf-8"),
+    "lex-unknown-category.tsv": b"komputa nkunaka\tlaptop\tBogus\n",
+    "lex-two-fields.tsv": b"komputa nkunaka\tlaptop\n",
+}
 
 
 def make_workspace(root: Path) -> None:
@@ -72,6 +104,8 @@ def make_workspace(root: Path) -> None:
         (root / f"{doc}.txt").write_bytes(data)
         (corpus / f"{doc}.txt").write_bytes(data)
     (corpus / "empty.txt").write_bytes(b"")
+    for name, data in DATA_FILES.items():
+        (root / name).write_bytes(data)
 
 
 def _sha256(data: bytes | None) -> str | None:

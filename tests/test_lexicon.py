@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from igbotext import LexiconFormatError, LexiconInvariantError
-from igbotext.lexicon import CompoundCategory, LexiconEntry, load_lexicon, match_key_features
+from igbotext.lexicon import CompoundCategory, KeyFeature, load_lexicon, match_key_features
 
 
 def _load(text: str):
@@ -13,13 +13,13 @@ def _load(text: str):
 def test_load_nominal_entry():
     entries = _load("komputa nkunaka\tlaptop\tNominal\n")
     assert entries == [
-        LexiconEntry(("komputa", "nkunaka"), "laptop", CompoundCategory.NOMINAL)
+        KeyFeature(("komputa", "nkunaka"), "laptop", CompoundCategory.NOMINAL, count=0)
     ]
 
 
 def test_load_coordinate_entry():
     entries = _load("ezi na ụlọ\tfamily\tCoordinate\n")
-    assert entries[0].phrase == ("ezi", "na", "ụlọ")
+    assert entries[0].gram == ("ezi", "na", "ụlọ")
 
 
 def test_repeated_words_demand_duplicated():
@@ -73,20 +73,20 @@ def test_comments_and_blanks_skipped():
 
 def test_phrases_are_lowercased():
     entries = _load("Komputa Nkunaka\tlaptop\tNominal\n")
-    assert entries[0].phrase == ("komputa", "nkunaka")
+    assert entries[0].gram == ("komputa", "nkunaka")
 
 
 def test_phrases_are_folded_like_text():
     # Tone marks, an NFD dot below and capitals: the phrase is the tokens
     # that normalize makes of it, and the category rules see those.
     entries = _load("E\u0300zi nà U\u0323lo\u0323\tfamily\tCoordinate\n")
-    assert entries[0].phrase == ("ezi", "na", "ụlọ")
+    assert entries[0].gram == ("ezi", "na", "ụlọ")
 
 
 def test_builtin_lexicon_loads_and_validates(golden_pipeline):
     # With no lexicon_path, the pipeline reads the shipped file.
     entries = golden_pipeline.lexicon
-    phrases = {e.phrase for e in entries}
+    phrases = {e.gram for e in entries}
     assert ("komputa", "nkunaka") in phrases
     assert ("okwu", "ntughe") in phrases
     assert ("onyonyo", "komputa") in phrases

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 
 from igbotext import (
     DecodeError,
+    InvalidOrderError,
     LexiconInvariantError,
     Mode,
     OrderMismatchError,
@@ -17,8 +19,9 @@ from igbotext import (
     bundle_from_json,
     run_pipeline,
 )
-from igbotext.ngrams import NGramTable
+from igbotext.ngrams import NGramTable, extract_ngrams
 from igbotext.pipeline import (
+    DocTermMatrix,
     RepresentationBundle,
     build_doc_term_matrix,
     bundle_to_json,
@@ -147,6 +150,18 @@ def test_config_validation():
         PipelineConfig(mode=Mode.PAPER_GOLDEN, orders=())
     with pytest.raises(ValueError):
         PipelineConfig(mode=Mode.PAPER_GOLDEN, orders=(4,))
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 3.0], ids=repr)
+@pytest.mark.parametrize("stage", ["config", "extract_ngrams"])
+def test_an_order_equal_to_an_int_is_not_one(stage, value):
+    # True == 1 and 3.0 == 3, yet a table of order True serializes as
+    # "n": true and a float order cannot size a window.
+    with pytest.raises(InvalidOrderError, match=re.escape(f"got {value!r}") + "$"):
+        if stage == "config":
+            PipelineConfig(mode=Mode.PAPER_GOLDEN, orders=(2, value))
+        else:
+            extract_ngrams(("a", "b", "c"), value)
 
 
 def test_mode_given_as_its_value_is_that_mode(doc1):
@@ -406,3 +421,12 @@ def test_matrix_serialization(doc1, golden_pipeline):
     assert len(lines) == 2
     assert "".join(matrix_to_json(matrix)).endswith("\n")
     assert "".join(matrix_to_tsv(build_doc_term_matrix([], 1))) == ""
+
+
+@pytest.mark.parametrize("breaker", ["\t", "\r", "\n"], ids=repr)
+def test_matrix_tsv_rejects_a_document_id_that_would_break_its_row(breaker):
+    doc_id = f"corpus/a{breaker}b.txt"
+    m = DocTermMatrix(n=1, doc_ids=("ok.txt", doc_id), features=(("a",),), rows=({0: 1}, {}))
+    with pytest.raises(ValueError, match="--format json") as info:
+        matrix_to_tsv(m)
+    assert repr(doc_id) in str(info.value)

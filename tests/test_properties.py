@@ -28,9 +28,9 @@ from igbotext import (
     unigram_probability,
 )
 from igbotext.cli import main as cli_main
-from igbotext.lexicon import CompoundCategory, LexiconEntry, match_key_features
+from igbotext.lexicon import CompoundCategory, match_key_features
 from igbotext.ngrams import ORDERS, NGramTable, extract_ngrams, rank_features
-from igbotext.normalize import normalize, strip_tone_marks, tokenize
+from igbotext.normalize import fold, normalize, tokenize
 from igbotext.pipeline import (
     RepresentationBundle,
     build_doc_term_matrix,
@@ -255,7 +255,7 @@ def test_dot_below_multiset_preserved(text):
     def dots(s: str) -> Counter:
         return Counter(ch for ch in unicodedata.normalize("NFD", s) if ch == "̣")
 
-    assert dots(strip_tone_marks(text)) == dots(text)
+    assert dots(fold(text)) == dots(text)
 
 
 # Noisy text plus the forms the fast path handles in bulk: NFD sequences
@@ -289,6 +289,37 @@ def test_normalize_output_is_nfc(text):
     for mode in Mode:
         out = normalize(text, mode)
         assert unicodedata.is_normalized("NFC", out)
+
+
+# Word pieces the rules act on (tone marks, NFD sequences, stray marks,
+# "=" + U+0338, a capital sigma, whose lowercase depends on its
+# neighbours, digits, a currency sign, apostrophes, hyphens) and the
+# whitespace that str.split splits on.
+LOCAL_PIECES = (
+    "e\u0300", "U\u0323\u0301", "o\u0323", "\u0300", "\u0323", "\u0338", "=\u0338",
+    "Σ", "ΑΣ", "7", "20:30", "₦", "'", "’", "-", "na-", "n’",
+)
+SPLIT_SPACES = (" ", "\t", "\n", "\u00a0", "\u001c", "\u3000")
+local_texts = st.lists(
+    st.one_of(
+        st.sampled_from(LOCAL_PIECES),
+        st.sampled_from(SPLIT_SPACES),
+        st.text(alphabet=NOISY_ALPHABET, max_size=4),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@given(local_texts)
+@example("ΑΣ\u00a0Σa\u3000aΣ")
+@example("a \u0323b\u001c=\u0338\t7a\n₦’s")
+@settings(max_examples=500, deadline=None)
+def test_normalize_is_word_local(text):
+    # Normalizing each whitespace word alone and joining the non-empty
+    # results gives the normalized text: text may be cut at whitespace.
+    for mode in Mode:
+        words = (normalize(word, mode) for word in text.split())
+        assert normalize(text, mode) == " ".join(w for w in words if w)
 
 
 @given(st.one_of(noisy_texts, marked_texts, st.text(max_size=60)))
@@ -397,7 +428,7 @@ def test_every_ranking_matches_the_reference_sort(n_table):
     # gram occurs `count` times in the stream, each time followed by n
     # tokens that are in no gram, so no other window spells a gram.
     lexicon = [
-        LexiconEntry(phrase=gram, gloss=str(i), category=CompoundCategory.NOMINAL)
+        KeyFeature(gram=gram, gloss=str(i), category=CompoundCategory.NOMINAL, count=0)
         for i, gram in enumerate([*counts, ("absent",) * n])
     ]
     gap = ("|",) * n
@@ -437,17 +468,17 @@ def streams_and_lexicons(draw):
 def test_key_features_are_the_table_lookups(stream_and_lexicon):
     tokens, phrases = stream_and_lexicon
     lexicon = [
-        LexiconEntry(phrase=phrase, gloss=str(i), category=CompoundCategory.NOMINAL)
+        KeyFeature(gram=phrase, gloss=str(i), category=CompoundCategory.NOMINAL, count=0)
         for i, phrase in enumerate(phrases)
     ]
     tables = {n: extract_ngrams(tokens, n).counts for n in ORDERS}
-    looked_up = [(e, tables[len(e.phrase)].get(e.phrase, 0)) for e in lexicon]
+    looked_up = [(e, tables[len(e.gram)].get(e.gram, 0)) for e in lexicon]
     # Stable, so entries equal on count and gram keep their lexicon order.
     ranked = sorted(
         ((e, count) for e, count in looked_up if count),
-        key=lambda row: (-row[1], unicodedata.normalize("NFC", " ".join(row[0].phrase))),
+        key=lambda row: (-row[1], unicodedata.normalize("NFC", " ".join(row[0].gram))),
     )
     assert match_key_features(tokens, lexicon) == [
-        KeyFeature(gram=e.phrase, gloss=e.gloss, category=e.category, count=count)
+        KeyFeature(gram=e.gram, gloss=e.gloss, category=e.category, count=count)
         for e, count in ranked
     ]
