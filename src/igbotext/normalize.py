@@ -34,17 +34,20 @@ class Mode(str, Enum):
 
 # Combining marks that encode tone, stripped after canonical decomposition.
 TONE_MARKS = "\u0300\u0301\u0304"  # grave, acute, macron
+# The Igbo dotted letters, each with its NFD spelling (base letter plus
+# U+0323 or U+0307), which ``fold`` recomposes by hand.
+_DOTTED = tuple((unicodedata.normalize("NFD", c), c) for c in "ịọụṅ")
 
 # Currency signs plus the enumerated punctuation/special characters.
 _CURRENCY = "£€₦$"  # £ € ₦ $
 _PUNCTUATION = ":;?!\"{}+&[]<>/@*=^%,.()" + "“”"  # incl. “ ”
 
-# Character classes are one regex scan each; str.translate walks a dict
-# per character and is about ten times slower on non-ASCII text.
-_TONE = re.compile(f"[{TONE_MARKS}]")
+# The deleted characters are one regex class, one scan; str.translate
+# walks a dict per character and is about ten times slower on non-ASCII
+# text. For a few characters, though, one str.replace each beats a regex
+# class: so the tone marks are stripped, and the apostrophes (and, in
+# strict mode, hyphens) turned into word boundaries.
 _DELETED = re.compile(f"[{re.escape(_CURRENCY + _PUNCTUATION)}]")
-# Apostrophes split words in both modes; strict mode splits hyphens too.
-# One str.replace per character beats a regex class here.
 _BOUNDARY = {Mode.PAPER_GOLDEN: "'’", Mode.STRICT: "'’-"}
 
 # A whitespace-delimited word holding an ASCII digit (numbers, dates,
@@ -73,15 +76,32 @@ def _drop_leading_marks(match: re.Match[str]) -> str:
     return " " + word[i:] if i < len(word) else ""
 
 
+def _strip_tones(text: str) -> str:
+    """Lowered ``text`` decomposed, tone marks removed, and ị, ọ, ụ and ṅ
+    recomposed by hand: the input of ``fold``'s NFC."""
+    text = unicodedata.normalize("NFD", text.lower())
+    for mark in TONE_MARKS:
+        text = text.replace(mark, "")
+    for spelled, letter in _DOTTED:
+        text = text.replace(spelled, letter)
+    return text
+
+
 def fold(text: str) -> str:
     """``text`` lowercased, tone marks stripped, in NFC: the one fold of
     text (``normalize``), stop-word entries and lexicon phrases.
 
     The lowered text is decomposed canonically, the grave, acute and macron
     marks removed and the rest recomposed, so "È" and "E" + U+0300 fold
-    alike. The dot below of ị, ọ and ụ is part of the letter and stays."""
-    decomposed = unicodedata.normalize("NFD", text.lower())
-    return unicodedata.normalize("NFC", _TONE.sub("", decomposed))
+    alike. The dot below of ị, ọ and ụ is part of the letter and stays.
+
+    Before the NFC, each of ị, ọ, ụ and ṅ is recomposed by hand
+    (``_strip_tones``). A lone U+0323 or U+0307 may compose with the letter
+    before it, so NFC cannot pass text holding one by its quick check and
+    would recompose all of it. Each replacement swaps in a canonically
+    equivalent sequence, so the NFC that always follows gives the same
+    result for any input; on Igbo text it ends at its quick check."""
+    return unicodedata.normalize("NFC", _strip_tones(text))
 
 
 def normalize(text: str, mode: Mode) -> str:

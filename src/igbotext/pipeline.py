@@ -275,8 +275,9 @@ def _dense_rows(
         yield "".join(pieces)
 
 
-# The characters that end a TSV cell or row.
-_TSV_BREAKS = frozenset("\t\r\n")
+# The characters that end a TSV cell or row: TAB, and every character at
+# which str.splitlines breaks a line.
+_TSV_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
@@ -287,8 +288,9 @@ def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
     so only one dense row exists at a time and its work follows its
     non-zero cells. An empty matrix yields nothing.
 
-    A document id holding a TAB, CR or LF would break its row, so it is
-    a ValueError that names it, raised here, before any line is made.
+    A document id holding a TAB or a line break (any character at which
+    ``str.splitlines`` breaks) would break its row, so it is a ValueError
+    that names it, raised here, before any line is made.
     """
     for doc_id in m.doc_ids:
         if not _TSV_BREAKS.isdisjoint(doc_id):

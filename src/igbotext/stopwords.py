@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from itertools import filterfalse
 
 from .errors import EmptyStopListWarning
 from .normalize import Mode, fold
@@ -44,7 +45,13 @@ def remove_stopwords(tokens: tuple[str, ...], words: frozenset[str], mode: Mode)
 
     Length is measured in Unicode scalar values, so "ahụ" counts as three
     characters regardless of its byte length. Normalized tokens carry no
-    apostrophe, so they are looked up in the list as they are.
+    apostrophe, so they are looked up in the list as they are. Without the
+    length rule the list is applied by a C iterator (``filterfalse``), with
+    no Python code per token. With it, one generator applies both rules;
+    the C form of the length rule, ``compress`` over
+    ``map(STRICT_MIN_TOKEN_LENGTH.__le__, map(len, tokens))``, measured
+    40-95% slower on Python 3.10 to 3.13.
     """
-    min_length = STRICT_MIN_TOKEN_LENGTH if mode is Mode.STRICT else 0
-    return tuple(t for t in tokens if t not in words and len(t) >= min_length)
+    if mode is Mode.STRICT:
+        return tuple(t for t in tokens if t not in words and len(t) >= STRICT_MIN_TOKEN_LENGTH)
+    return tuple(filterfalse(words.__contains__, tokens))

@@ -33,9 +33,13 @@ DIGITS = set("0123456789")
 APOSTROPHES = ("'", "’")
 
 
-def reference_tokens(text: str, strict: bool) -> list[str]:
+def reference_fold(text: str) -> str:
     decomposed = unicodedata.normalize("NFD", text.lower())
-    text = unicodedata.normalize("NFC", "".join(ch for ch in decomposed if ch not in TONE_MARKS))
+    return unicodedata.normalize("NFC", "".join(ch for ch in decomposed if ch not in TONE_MARKS))
+
+
+def reference_tokens(text: str, strict: bool) -> list[str]:
+    text = reference_fold(text)
     boundaries = APOSTROPHES + ("-",) if strict else APOSTROPHES
     tokens: list[str] = []
     for word in text.split():

@@ -213,6 +213,16 @@ def test_matrix_tsv_refuses_file_names_holding_a_tab_or_line_break(tmp_path):
     proc = run_cli("matrix", str(corpus), "--format", "json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["docs"] == [str(corpus / name) for name in names]
+    # Every other character at which str.splitlines breaks a line.
+    for i, breaker in enumerate("\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+        corpus = tmp_path / f"corpus{i}"
+        corpus.mkdir()
+        for name in (f"a{breaker}b.txt", "e.txt"):
+            (corpus / name).write_text("komputa nkunaka", encoding="utf-8")
+        proc = run_cli("matrix", str(corpus), "--output", str(out))
+        assert proc.returncode == 1, repr(breaker)
+        assert repr(str(corpus / f"a{breaker}b.txt")) in proc.stderr
+        assert not out.exists() and proc.stdout == ""
 
 
 def test_bad_order_gives_one_message_for_represent_and_matrix(tmp_path):

@@ -4,8 +4,10 @@ import time
 import unicodedata
 
 from igbotext import Mode
-from igbotext.normalize import fold, normalize, tokenize
+from igbotext.normalize import TONE_MARKS, _strip_tones, fold, normalize, tokenize
 from igbotext.textio import Document
+
+from reference_pipeline import reference_fold
 
 GOLDEN = Mode.PAPER_GOLDEN
 STRICT = Mode.STRICT
@@ -48,6 +50,38 @@ def test_strip_handles_combining_sequences():
 def test_strip_tone_mark_on_dotted_vowel():
     # ụ with grave: tone mark removed, dot below kept
     assert fold("ụ̀") == "ụ"
+
+
+def test_fold_matches_the_reference_around_every_composing_code_point():
+    # Every code point with a canonical decomposition or a non-zero
+    # combining class: alone, after a letter that a dot can compose with,
+    # and before the dot below, the dot above, a tone mark, or both.
+    points = [
+        chr(c) for c in range(0x110000)
+        if not 0xD800 <= c < 0xE000
+        and (unicodedata.combining(chr(c))
+             or unicodedata.decomposition(chr(c))[:1] not in ("", "<"))
+    ]
+    differ = [
+        text
+        for ch in points
+        for before in ("", "o", "i", "u", "n", "O", "N")
+        for after in ("", "\u0323", "\u0307", "\u0300", "\u0323\u0300")
+        if fold(text := before + ch + after) != reference_fold(text)
+    ]
+    assert differ == []
+
+
+def test_fold_of_igbo_letters_ends_at_the_nfc_quick_check():
+    # Before fold's NFC, no Igbo letter may be left in a form that NFC
+    # must recompose, whatever its case, spelling or tone mark; else NFC
+    # recomposes the whole text.
+    letters = "abcdefghiịjklmnṅoọprstuụvwyz"
+    for letter in letters + letters.upper():
+        for tone in ("",) + tuple(TONE_MARKS):
+            for form in ("NFC", "NFD"):
+                word = unicodedata.normalize(form, letter + tone)
+                assert unicodedata.is_normalized("NFC", _strip_tones(word)), ascii(word)
 
 
 def test_remove_noise_punctuation():

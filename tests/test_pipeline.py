@@ -423,7 +423,11 @@ def test_matrix_serialization(doc1, golden_pipeline):
     assert "".join(matrix_to_tsv(build_doc_term_matrix([], 1))) == ""
 
 
-@pytest.mark.parametrize("breaker", ["\t", "\r", "\n"], ids=repr)
+# TAB and every character at which str.splitlines breaks a line.
+TSV_BREAKS = ["\t", "\r", "\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("breaker", TSV_BREAKS, ids=repr)
 def test_matrix_tsv_rejects_a_document_id_that_would_break_its_row(breaker):
     doc_id = f"corpus/a{breaker}b.txt"
     m = DocTermMatrix(n=1, doc_ids=("ok.txt", doc_id), features=(("a",),), rows=({0: 1}, {}))

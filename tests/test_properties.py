@@ -44,6 +44,7 @@ from igbotext.textio import Document, decode_utf8
 
 from reference_pipeline import (
     reference_filter,
+    reference_fold,
     reference_matrix,
     reference_matrix_json,
     reference_matrix_tsv,
@@ -256,6 +257,44 @@ def test_dot_below_multiset_preserved(text):
         return Counter(ch for ch in unicodedata.normalize("NFD", s) if ch == "̣")
 
     assert dots(fold(text)) == dots(text)
+
+
+# Marks that compose with the letter before them (the tone marks, dot
+# below, dot above, circumflex, horn), letters that already carry one
+# (ộ, ợ, ά, NFC and NFD ị ọ ụ ṅ in both cases), iota subscript, letters
+# whose lowercase is longer or context-dependent (İ, Σ), Hangul jamo that
+# compose to a syllable, and "=" + U+0338.
+MARK_RICH_ALPHABET = (
+    "\u0300\u0301\u0304\u0323\u0307\u0302\u031b"
+    "ộợά\u0345İΣ\u1100\u1161\u11a8가=\u0338oiunON "
+    "ịọụṅỊỌỤṄ"
+    + unicodedata.normalize("NFD", "ịọụṅỊỌỤṄ")
+)
+
+
+@given(st.one_of(st.text(), st.text(alphabet=MARK_RICH_ALPHABET, max_size=40)))
+@example("o\u0323\u0300\u0302")
+@example("N\u0307\u0323")
+@settings(max_examples=500, deadline=None)
+def test_fold_matches_the_reference(text):
+    assert fold(text) == reference_fold(text)
+
+
+# Tokens of one to four scalar values, dotted letters in both spellings
+# among them, and stop lists of the same short words, so that the strict
+# length rule and the list overlap.
+short_tokens = st.text(alphabet="ahnuịọụṅ\u0323", min_size=1, max_size=4)
+
+
+@given(
+    st.lists(short_tokens, max_size=30),
+    st.frozensets(st.one_of(short_tokens, st.sampled_from(("ahụ", "na", "ụ", "ya"))), max_size=8),
+    st.sampled_from(list(Mode)),
+)
+@settings(max_examples=300, deadline=None)
+def test_stop_filter_matches_the_reference(tokens, words, mode):
+    kept = remove_stopwords(_stream(tokens), words, mode)
+    assert list(kept) == reference_filter(tokens, words, mode is Mode.STRICT)
 
 
 # Noisy text plus the forms the fast path handles in bulk: NFD sequences
