@@ -20,7 +20,7 @@ from .errors import (
     PipelineStageError,
 )
 from .ngrams import ORDERS
-from .normalize import Mode, normalize, tokenize
+from .normalize import Mode, normalize, pieces, tokenize
 from .pipeline import (
     Pipeline,
     PipelineConfig,
@@ -114,19 +114,27 @@ def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = ORDERS)
     )
 
 
-def _cmd_normalize(args: argparse.Namespace) -> str:
+def _normalized(args: argparse.Namespace) -> tuple[str, Iterator[str]]:
+    """The document's id and its text normalized piece by piece, as the
+    pipeline normalizes it (``normalize.pieces``)."""
     doc = load_corpus([args.file])[0]
-    text = normalize(doc.text, Mode(args.mode))
+    mode = Mode(args.mode)
+    return doc.id, (normalize(piece, mode) for piece in pieces(doc.text))
+
+
+def _cmd_normalize(args: argparse.Namespace) -> str:
+    doc_id, normalized = _normalized(args)
+    text = " ".join(filter(None, normalized))
     if args.format == "json":
-        return to_json({"doc_id": doc.id, "text": text})
+        return to_json({"doc_id": doc_id, "text": text})
     return text + "\n"
 
 
 def _cmd_tokenize(args: argparse.Namespace) -> str:
-    doc = load_corpus([args.file])[0]
-    tokens = tokenize(normalize(doc.text, Mode(args.mode)))
+    doc_id, normalized = _normalized(args)
+    tokens = [token for text in normalized for token in tokenize(text)]
     if args.format == "json":
-        return to_json({"doc_id": doc.id, "tokens": tokens})
+        return to_json({"doc_id": doc_id, "tokens": tokens})
     return "".join(token + "\n" for token in tokens)
 
 

@@ -1,5 +1,6 @@
 """Igbo text normalization, its modes and its fold (shared with the data
-files), and the whitespace tokenization of its output.
+files), the whitespace tokenization of its output, and the cutting of a
+text at whitespace into pieces that can be normalized one at a time.
 
 Both modes turn apostrophes into word boundaries; Mode.STRICT turns
 hyphens into word boundaries too, while Mode.PAPER_GOLDEN keeps
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections.abc import Iterator
 from enum import Enum
 
 
@@ -127,6 +129,40 @@ def normalize(text: str, mode: Mode) -> str:
     # that starts with a mark is given one; other text is not copied.
     lead = " " if text[:1] and unicodedata.category(text[0])[0] == "M" else ""
     return _MARK_LED_WORD.sub(_drop_leading_marks, lead + text)[len(lead):]
+
+
+# The most characters in a piece of ``pieces`` where a space falls within
+# them.
+_PIECE = 1 << 14
+
+# Whitespace: re's \s and str.isspace agree on every code point, so a cut
+# after a match is a cut between the words of str.split.
+_SPACE = re.compile(r"\s")
+
+
+def pieces(text: str) -> Iterator[str]:
+    """``text`` in consecutive pieces that rejoin to it, each cut right
+    after a whitespace character, so that no word is split.
+
+    ``normalize`` is word-local, so the non-empty ``normalize`` of the
+    pieces, joined by single spaces, is that of the whole text, and
+    ``tokenize`` of the pieces, chained, is its token stream. A piece ends
+    at its last space within ``_PIECE`` characters; where there is none, at
+    the first whitespace after them, or at the end of the text. A text of
+    at most ``_PIECE`` characters is one piece, itself.
+    """
+    start, end = 0, len(text)
+    while start < end:
+        limit = start + _PIECE
+        if limit >= end:
+            cut = end
+        else:
+            cut = text.rfind(" ", start, limit) + 1
+            if cut <= start:
+                space = _SPACE.search(text, limit)
+                cut = space.end() if space else end
+        yield text[start:cut]
+        start = cut
 
 
 def tokenize(text: str) -> tuple[str, ...]:

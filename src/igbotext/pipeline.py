@@ -22,7 +22,7 @@ from .lexicon import KeyFeature, load_lexicon, match_key_features
 from .ngrams import (
     ORDERS, NGram, NGramTable, extract_ngrams, is_order, is_whole, rank_features, rank_rows
 )
-from .normalize import Mode, normalize, tokenize
+from .normalize import Mode, normalize, pieces, tokenize
 from .stopwords import load_stoplist, remove_stopwords
 from .textio import Document
 
@@ -44,12 +44,14 @@ class PipelineConfig:
         # A plain string names a mode by its value; anything else is a
         # ValueError that names it.
         object.__setattr__(self, "mode", Mode(self.mode))
-        if not self.orders:
+        # Read once: a one-shot iterable is empty the second time.
+        orders = tuple(self.orders)
+        if not orders:
             raise ValueError("orders must be non-empty")
-        for n in self.orders:
+        for n in orders:
             if not is_order(n):
                 raise InvalidOrderError(n, ORDERS)
-        object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
+        object.__setattr__(self, "orders", tuple(sorted(set(orders))))
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,19 @@ class Pipeline:
         return _stage("load-lexicon", load_lexicon, self.cfg.lexicon_path or DATA / "lexicon.tsv")
 
     def _filtered(self, doc: Document) -> tuple[str, ...]:
-        mode = self.cfg.mode
-        return remove_stopwords(tokenize(normalize(doc.text, mode)), self.stoplist, mode)
+        """The document's stop-filtered token stream, made one piece of its
+        text at a time (``normalize.pieces``), with one ``str`` per distinct
+        token: no whole-text copy is made, and the stream's words take
+        memory in proportion to the vocabulary."""
+        mode, stoplist = self.cfg.mode, self.stoplist
+        seen: dict[str, str] = {}
+        kept = (
+            remove_stopwords(tokenize(normalize(piece, mode)), stoplist, mode)
+            for piece in pieces(doc.text)
+        )
+        # Made straight into a tuple: a list would be copied into it, and
+        # both would be alive at once.
+        return tuple(chain.from_iterable(map(seen.setdefault, k, k) for k in kept))
 
     def represent(self, doc: Document) -> RepresentationBundle:
         """The document's n-gram table of each configured order."""
@@ -125,13 +138,14 @@ def run_pipeline(doc: Document, cfg: PipelineConfig) -> RepresentationBundle:
     return Pipeline(cfg).represent(doc)
 
 
-def build_doc_term_matrix(bundles: list[RepresentationBundle], n: int) -> DocTermMatrix:
+def build_doc_term_matrix(bundles: Iterable[RepresentationBundle], n: int) -> DocTermMatrix:
     """Corpus matrix: the feature axis is the documents' order-n counts,
     summed over the corpus, in rank order (``rank_features``).
 
     Row i maps feature index j to document i's count of feature j, so
     the columns sum to those corpus counts.
     """
+    bundles = list(bundles)  # read three times below; a generator only once
     vocabulary: Counter[NGram] = Counter()
     for b in bundles:
         if n not in b.tables:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import DecodeError
 
-_BOM = "﻿"
+_BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,13 @@ def decode_utf8(data: bytes, source_id: str) -> Document:
     A byte-order mark at the very start is dropped; everywhere else
     U+FEFF is ordinary content.
     """
+    # The mark is skipped in the bytes: cutting it from the decoded text
+    # would copy the text whole. Offsets count from the start of ``data``.
+    skip = len(_BOM) if data.startswith(_BOM) else 0
     try:
-        text = data.decode("utf-8", errors="strict")
+        text = str(memoryview(data)[skip:], "utf-8")
     except UnicodeDecodeError as exc:
-        raise DecodeError(source_id, exc.start, exc.reason) from exc
-    if text.startswith(_BOM):
-        text = text[len(_BOM):]
+        raise DecodeError(source_id, skip + exc.start, exc.reason) from exc
     return Document(id=source_id, text=text)
 
 

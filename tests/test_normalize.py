@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+import sys
 import time
 import unicodedata
 
@@ -211,3 +213,10 @@ def test_word_of_combining_marks_alone_is_not_counted(golden_pipeline):
     bundle = golden_pipeline.represent(Document("d", "ahu \u0323 ulo"))
     assert bundle.tables[1].counts == {("ahu",): 1, ("ulo",): 1}
     assert bundle.tables[2].counts == {("ahu", "ulo"): 1}
+
+
+def test_regex_whitespace_is_str_isspace():
+    # normalize.pieces cuts after a match of \s; the cut falls between the
+    # words of str.split only if the two agree on every code point.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]

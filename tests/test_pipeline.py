@@ -152,6 +152,15 @@ def test_config_validation():
         PipelineConfig(mode=Mode.PAPER_GOLDEN, orders=(4,))
 
 
+def test_config_reads_a_one_shot_iterable_of_orders_once(doc1):
+    # Validation once used up a generator, leaving orders == () and a
+    # represent that returned no table.
+    cfg = PipelineConfig(mode="paper", orders=(n for n in (2, 1)))
+    assert cfg.orders == (1, 2)
+    assert set(run_pipeline(doc1, cfg).tables) == {1, 2}
+    assert PipelineConfig(mode="paper", orders=iter([3])).orders == (3,)
+
+
 @pytest.mark.parametrize("value", [True, 1.0, 3.0], ids=repr)
 @pytest.mark.parametrize("stage", ["config", "extract_ngrams"])
 def test_an_order_equal_to_an_int_is_not_one(stage, value):
@@ -202,6 +211,37 @@ def test_matrix_empty():
     assert matrix.doc_ids == ()
     assert matrix.features == ()
     assert matrix.rows == ()
+
+
+def test_matrix_reads_a_generator_of_bundles(doc1, golden_pipeline):
+    # A generator once gave the features of its documents but no rows.
+    docs = [doc1, Document("other", "komputa nkunaka ocha")]
+    listed = build_doc_term_matrix([golden_pipeline.represent(d) for d in docs], 1)
+    assert listed.doc_ids == (doc1.id, "other")
+    assert build_doc_term_matrix((golden_pipeline.represent(d) for d in docs), 1) == listed
+
+
+def test_text_stages_hold_a_few_pointers_per_word_not_the_text(doc1):
+    # About 2 MB of doc1's words, made before tracing starts. A copy of the
+    # whole text costs at least a byte per character, about six per word,
+    # and a str per token at least 50 bytes; the stages run piece by piece
+    # and keep one str per distinct token, so what grows with the text is
+    # the token stream's pointers, 8 bytes per token, and its windows.
+    text = (doc1.text + "\n") * (2_000_000 // len(doc1.text.encode("utf-8")) + 1)
+    doc = Document("big", text)
+    budget = 4 * 8 * len(text.split())
+    for mode, stage in ((Mode.STRICT, "features"), (Mode.PAPER_GOLDEN, "represent")):
+        pipeline = Pipeline(PipelineConfig(mode=mode))
+        pipeline.lexicon  # loaded before tracing, as the data files are
+        tracemalloc.start()
+        try:
+            getattr(pipeline, stage)(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (stage, peak, budget)
+        filtered = pipeline._filtered(doc)
+        assert len({id(token) for token in filtered}) == len(set(filtered))
 
 
 def test_matrix_identical_docs_give_identical_rows(doc1, golden_pipeline):

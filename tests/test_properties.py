@@ -13,6 +13,7 @@ import tempfile
 import unicodedata
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,10 +28,11 @@ from igbotext import (
     trigram_conditional,
     unigram_probability,
 )
+from igbotext import normalize as normalize_module
 from igbotext.cli import main as cli_main
 from igbotext.lexicon import CompoundCategory, match_key_features
 from igbotext.ngrams import ORDERS, NGramTable, extract_ngrams, rank_features
-from igbotext.normalize import fold, normalize, tokenize
+from igbotext.normalize import fold, normalize, pieces, tokenize
 from igbotext.pipeline import (
     RepresentationBundle,
     build_doc_term_matrix,
@@ -359,6 +361,69 @@ def test_normalize_is_word_local(text):
     for mode in Mode:
         words = (normalize(word, mode) for word in text.split())
         assert normalize(text, mode) == " ".join(w for w in words if w)
+
+
+@st.composite
+def piece_texts(draw):
+    """Texts to cut into pieces: the word-local pieces and lexicon phrases
+    between any of the split spaces, or between TAB, LF and U+3000 alone;
+    runs with no whitespace longer than a piece; whitespace at either end."""
+    spaces = draw(st.sampled_from((SPLIT_SPACES, ("\t", "\n", "\u3000"))))
+    long_runs = st.tuples(st.sampled_from(LOCAL_PIECES), st.integers(65, 80))
+    items = st.one_of(
+        st.sampled_from(LOCAL_PIECES),
+        st.sampled_from(spaces),
+        st.sampled_from(spaces).map(lambda space: f"ụlọ{space}ọgwụ{space}komputa{space}nkunaka"),
+        st.text(alphabet=NOISY_ALPHABET.translate({ord(c): None for c in " \t\n"}), max_size=4),
+        long_runs.map(lambda run: run[0] * run[1]),
+    )
+    ends = st.lists(st.sampled_from(spaces), max_size=2).map("".join)
+    return draw(ends) + "".join(draw(st.lists(items, max_size=30))) + draw(ends)
+
+
+def _cli_output(src: Path, command: str, mode: Mode) -> str:
+    out = src.with_suffix(".out")
+    assert cli_main([command, str(src), "--mode", mode.value, "--output", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+@given(piece_texts(), st.sampled_from((None, *range(1, 65))))
+@example("aΑΣ Σb ΑΣ\tΣ", 4)  # ΑΣ right before a cut, Σ right after one
+@example("a \u0323b \u0300\u0323c", 2)  # a combining mark starts a piece
+@example("ụ̀lọ na-ese\u3000ΑΣ 20:30\t\u0323n’", None)
+@settings(max_examples=100, deadline=None)
+def test_pieces_are_exact(text, size):
+    # size None is the default piece, which is slower to test; the text is
+    # then made long enough to be cut in several.
+    if size is None:
+        size = normalize_module._PIECE
+        text *= 2 * size // max(len(text), 1) + 1
+    with mock.patch.object(normalize_module, "_PIECE", size):
+        cut = list(pieces(text))
+        assert "".join(cut) == text
+        for i, piece in enumerate(cut):
+            assert piece
+            assert piece[-1].isspace() or i == len(cut) - 1
+            # A piece outgrows the limit only by the word crossing it.
+            assert len(piece) <= size or (
+                " " not in piece[:size] and not any(map(str.isspace, piece[size:-1]))
+            )
+        # Every output equals that of the whole text in one piece.
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "doc.txt"
+            src.write_bytes(text.encode("utf-8"))
+            for mode, pipeline in _PIPELINES.items():
+                whole = normalize(text, mode)
+                kept = remove_stopwords(tokenize(whole), pipeline.stoplist, mode)
+                doc = Document("d", text)
+                bundle = pipeline.represent(doc)
+                for n in ORDERS:
+                    assert bundle.tables[n] == extract_ngrams(kept, n)
+                assert pipeline.features(doc) == match_key_features(kept, pipeline.lexicon)
+                assert _cli_output(src, "normalize", mode) == whole + "\n"
+                assert _cli_output(src, "tokenize", mode) == "".join(
+                    token + "\n" for token in tokenize(whole)
+                )
 
 
 @given(st.one_of(noisy_texts, marked_texts, st.text(max_size=60)))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from igbotext import DecodeError, load_corpus
@@ -38,6 +40,32 @@ def test_decode_never_substitutes_replacement_char():
 def test_leading_bom_is_stripped():
     raw = b"\xef\xbb\xbfanya"
     assert decode_utf8(raw, "mem").text == "anya"
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("before, offset", [(b"", 0), (b"ab", 2), ("ụ".encode("utf-8"), 3)])
+def test_decode_error_offset_counts_every_byte_of_the_file(bom, before, offset):
+    with pytest.raises(DecodeError) as err:
+        decode_utf8(bom + before + b"\xc3\x28", "mem")
+    assert err.value.offset == len(bom) + offset
+
+
+def test_a_partial_bom_is_a_decode_error_at_its_start():
+    with pytest.raises(DecodeError) as err:
+        decode_utf8(b"\xef\xbb", "mem")
+    assert err.value.offset == 0
+
+
+def test_bom_is_stripped_without_copying_the_text():
+    raw = b"\xef\xbb\xbf" + b"anya " * 200_000
+    tracemalloc.start()
+    try:
+        doc = decode_utf8(raw, "mem")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.text == raw[3:].decode("ascii")
+    assert peak < 1.5 * len(raw)
 
 
 def test_interior_bom_is_content():
