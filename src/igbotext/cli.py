@@ -20,7 +20,7 @@ from .errors import (
     PipelineStageError,
 )
 from .ngrams import ORDERS
-from .normalize import Mode, normalize, pieces, tokenize
+from .normalize import Mode, tokenize
 from .pipeline import (
     Pipeline,
     PipelineConfig,
@@ -31,6 +31,7 @@ from .pipeline import (
     features_to_tsv,
     matrix_to_json,
     matrix_to_tsv,
+    normalized,
     to_json,
     write_output,
 )
@@ -85,56 +86,54 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", parents=[common], help="print normalized text")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_normalize)
 
     p = sub.add_parser("tokenize", parents=[common], help="print the token stream")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_tokenize)
 
     p = sub.add_parser("represent", parents=[counting], help="n-gram frequency tables")
     p.add_argument("file")
     p.add_argument("--n", default=",".join(map(str, ORDERS)),
                    help="comma-separated orders (default: %(default)s)")
+    p.set_defaults(run=_cmd_represent)
 
     p = sub.add_parser("matrix", parents=[counting], help="document-term matrix over a directory")
     p.add_argument("dir")
     p.add_argument("--n", type=int, default=1, help="n-gram order (default: 1)")
+    p.set_defaults(run=_cmd_matrix)
 
     p = sub.add_parser("features", parents=[counting], help="lexicon key features of a document")
     p.add_argument("file")
     p.add_argument("--lexicon", metavar="PATH", default=None,
                    help="lexicon file (default: shipped lexicon)")
+    p.set_defaults(run=_cmd_features)
     return parser
 
 
 def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = ORDERS) -> PipelineConfig:
     return PipelineConfig(
-        mode=Mode(args.mode),
+        mode=args.mode,
         stoplist_path=Path(args.stopwords) if args.stopwords else None,
         lexicon_path=Path(args.lexicon) if getattr(args, "lexicon", None) else None,
         orders=orders,
     )
 
 
-def _normalized(args: argparse.Namespace) -> tuple[str, Iterator[str]]:
-    """The document's id and its text normalized piece by piece, as the
-    pipeline normalizes it (``normalize.pieces``)."""
-    doc = load_corpus([args.file])[0]
-    mode = Mode(args.mode)
-    return doc.id, (normalize(piece, mode) for piece in pieces(doc.text))
-
-
 def _cmd_normalize(args: argparse.Namespace) -> str:
-    doc_id, normalized = _normalized(args)
-    text = " ".join(filter(None, normalized))
+    doc = load_corpus([args.file])[0]
+    text = " ".join(filter(None, normalized(doc.text, Mode(args.mode))))
     if args.format == "json":
-        return to_json({"doc_id": doc_id, "text": text})
+        return to_json({"doc_id": doc.id, "text": text})
     return text + "\n"
 
 
 def _cmd_tokenize(args: argparse.Namespace) -> str:
-    doc_id, normalized = _normalized(args)
-    tokens = [token for text in normalized for token in tokenize(text)]
+    doc = load_corpus([args.file])[0]
+    texts = normalized(doc.text, Mode(args.mode))
+    tokens = [token for text in texts for token in tokenize(text)]
     if args.format == "json":
-        return to_json({"doc_id": doc_id, "tokens": tokens})
+        return to_json({"doc_id": doc.id, "tokens": tokens})
     return "".join(token + "\n" for token in tokens)
 
 
@@ -165,20 +164,11 @@ def _cmd_features(args: argparse.Namespace) -> str:
     return features_to_tsv(features)
 
 
-_COMMANDS = {
-    "normalize": _cmd_normalize,
-    "tokenize": _cmd_tokenize,
-    "represent": _cmd_represent,
-    "matrix": _cmd_matrix,
-    "features": _cmd_features,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        text = _COMMANDS[args.command](args)
+        text = args.run(args)
         write_output(text, args.output)
         return EXIT_OK
     except _CliError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Mapping, Sequence, TypeVar
 
@@ -60,7 +61,8 @@ def extract_ngrams(tokens: Sequence[str], n: int) -> NGramTable:
     ``InvalidOrderError``."""
     if not is_order(n):
         raise InvalidOrderError(n, ORDERS)
-    counts = Counter(zip(*(tokens[i:] for i in range(n))))
+    # One iterator over the stream per position: a slice would copy it.
+    counts = Counter(zip(*(islice(tokens, i, None) for i in range(n))))
     return NGramTable(counts=dict(counts), total_windows=max(0, len(tokens) - n + 1))
 
 

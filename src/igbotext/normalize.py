@@ -125,14 +125,12 @@ def normalize(text: str, mode: Mode) -> str:
     # that followed it ("ahu.̣" → "ahụ"), so the result is recomposed.
     text = unicodedata.normalize("NFC", text)
     # A mark still at a word start has no letter to belong to ("u'̣lo").
-    # The pattern finds a word by the space before it, so a first word
-    # that starts with a mark is given one; other text is not copied.
-    lead = " " if text[:1] and unicodedata.category(text[0])[0] == "M" else ""
-    return _MARK_LED_WORD.sub(_drop_leading_marks, lead + text)[len(lead):]
+    # The pattern finds a word by the space before it, so the first word
+    # is given one.
+    return _MARK_LED_WORD.sub(_drop_leading_marks, " " + text)[1:]
 
 
-# The most characters in a piece of ``pieces`` where a space falls within
-# them.
+# The fewest characters in a piece of ``pieces`` that is not the last.
 _PIECE = 1 << 14
 
 # Whitespace: re's \s and str.isspace agree on every code point, so a cut
@@ -147,20 +145,15 @@ def pieces(text: str) -> Iterator[str]:
     ``normalize`` is word-local, so the non-empty ``normalize`` of the
     pieces, joined by single spaces, is that of the whole text, and
     ``tokenize`` of the pieces, chained, is its token stream. A piece ends
-    at its last space within ``_PIECE`` characters; where there is none, at
-    the first whitespace after them, or at the end of the text. A text of
-    at most ``_PIECE`` characters is one piece, itself.
+    right after the first whitespace at or past its ``_PIECE``-th
+    character, or at the end of the text: every piece but the last has at
+    least ``_PIECE`` characters, and outgrows them only by the word
+    crossing that character.
     """
     start, end = 0, len(text)
     while start < end:
-        limit = start + _PIECE
-        if limit >= end:
-            cut = end
-        else:
-            cut = text.rfind(" ", start, limit) + 1
-            if cut <= start:
-                space = _SPACE.search(text, limit)
-                cut = space.end() if space else end
+        space = _SPACE.search(text, start + _PIECE - 1)
+        cut = space.end() if space else end
         yield text[start:cut]
         start = cut
 

@@ -71,7 +71,7 @@ class DocTermMatrix:
     n: int
     doc_ids: tuple[str, ...]
     features: tuple[NGram, ...]
-    rows: tuple[dict[int, int], ...] = ()
+    rows: tuple[dict[int, int], ...]
 
 
 class Pipeline:
@@ -94,15 +94,12 @@ class Pipeline:
 
     def _filtered(self, doc: Document) -> tuple[str, ...]:
         """The document's stop-filtered token stream, made one piece of its
-        text at a time (``normalize.pieces``), with one ``str`` per distinct
+        text at a time (``normalized``), with one ``str`` per distinct
         token: no whole-text copy is made, and the stream's words take
         memory in proportion to the vocabulary."""
         mode, stoplist = self.cfg.mode, self.stoplist
         seen: dict[str, str] = {}
-        kept = (
-            remove_stopwords(tokenize(normalize(piece, mode)), stoplist, mode)
-            for piece in pieces(doc.text)
-        )
+        kept = (remove_stopwords(tokenize(t), stoplist, mode) for t in normalized(doc.text, mode))
         # Made straight into a tuple: a list would be copied into it, and
         # both would be alive at once.
         return tuple(chain.from_iterable(map(seen.setdefault, k, k) for k in kept))
@@ -121,6 +118,14 @@ class Pipeline:
         """
         lexicon = self.lexicon  # a bad lexicon fails before any counting
         return match_key_features(self._filtered(doc), lexicon)
+
+
+def normalized(text: str, mode: Mode) -> Iterator[str]:
+    """The ``normalize`` of each piece of ``text`` (``normalize.pieces``),
+    in order: the one run of the first text stage, for ``Pipeline`` and the
+    ``normalize`` and ``tokenize`` commands alike. Joined by single spaces,
+    the non-empty ones are ``normalize(text, mode)``."""
+    return (normalize(piece, mode) for piece in pieces(text))
 
 
 def _stage(name, load, path):

@@ -9,7 +9,6 @@ name the same entry.
 
 from __future__ import annotations
 
-import re
 import warnings
 from itertools import filterfalse
 
@@ -22,7 +21,8 @@ STRICT_MIN_TOKEN_LENGTH = 3
 
 
 def load_stoplist(data: bytes, source_id: str) -> frozenset[str]:
-    """Parse a stop-word file: entries split on commas and line breaks.
+    """Parse a stop-word file: entries split on commas and at every line
+    break (``str.splitlines``, as for the lexicon).
 
     Entries are trimmed, folded as text is (``normalize.fold``) and
     deduplicated, so that any spelling of a word removes its normalized
@@ -31,9 +31,10 @@ def load_stoplist(data: bytes, source_id: str) -> frozenset[str]:
     """
     text = decode_utf8(data, source_id).text
     entries = frozenset(
-        fold(piece.strip()).replace("'", "’")
-        for piece in re.split(r"[,\r\n]", text)
-        if piece.strip()
+        fold(entry.strip()).replace("'", "’")
+        for line in text.splitlines()
+        for entry in line.split(",")
+        if entry.strip()
     )
     if not entries:
         warnings.warn(f"stop-word source {source_id!r} has no entries", EmptyStopListWarning)

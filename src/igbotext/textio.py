@@ -44,13 +44,18 @@ def load_corpus(paths: list[str | os.PathLike[str]]) -> list[Document]:
     """Load one Document per path, in input order.
 
     Unreadable paths raise OSError naming the path; invalid UTF-8 raises
-    DecodeError naming the path. Duplicate paths would break document-id
-    uniqueness and are rejected.
+    DecodeError naming the path. A file name that is not valid UTF-8 or
+    that repeats another breaks the document ids: each is a ValueError.
     """
     docs: list[Document] = []
     seen: set[str] = set()
     for path in map(Path, paths):
-        doc = decode_utf8(path.read_bytes(), str(path))
+        name = str(path)
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"file name {name!r} is not valid UTF-8") from None
+        doc = decode_utf8(path.read_bytes(), name)
         if doc.id in seen:
             raise ValueError(f"duplicate document id {doc.id!r} in corpus")
         seen.add(doc.id)

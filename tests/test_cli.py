@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -134,6 +135,31 @@ def test_exit_code_bad_stoplist(tmp_path):
     bad = tmp_path / "stop.txt"
     bad.write_bytes(b"\xfe")
     assert run_cli("represent", DOC1, "--stopwords", str(bad)).returncode == 2
+
+
+def test_a_file_name_that_is_not_utf8_is_refused_before_any_output(tmp_path, capsys):
+    # Such a name could not be written as a document id: refused at load,
+    # before the output file is opened.
+    from igbotext.cli import main
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    raw = os.path.join(os.fsencode(corpus), b"b\xff.txt")
+    try:
+        with open(raw, "wb") as fh:
+            fh.write(b"komputa ocha")
+    except OSError:
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    name = os.fsdecode(raw)
+    out = tmp_path / "out"
+    for fmt in ("tsv", "json"):
+        for argv in (
+            ["matrix", str(corpus)], ["represent", name], ["features", name],
+            ["normalize", name], ["tokenize", name],
+        ):
+            assert main([*argv, "--format", fmt, "--output", str(out)]) == 1, argv
+            assert not out.exists(), argv
+            assert "is not valid UTF-8" in capsys.readouterr().err
 
 
 def test_stopwords_is_an_option_only_where_stop_words_are_dropped(tmp_path, capsys):

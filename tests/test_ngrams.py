@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -80,6 +81,20 @@ def test_invalid_orders_rejected(doc1_filtered_stream):
     for n in (0, 4, -1):
         with pytest.raises(InvalidOrderError):
             extract_ngrams(doc1_filtered_stream, n)
+
+
+def test_counting_does_not_copy_the_token_stream():
+    # A slice of the stream per order would copy it: 8 MB here.
+    tokens = ("a", "b") * 500_000
+    tracemalloc.start()
+    try:
+        table = extract_ngrams(tokens, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.counts == {("a", "b", "a"): 499_999, ("b", "a", "b"): 499_999}
+    assert table.total_windows == 999_998
+    assert peak < 100_000
 
 
 def test_short_stream_has_zero_windows():

@@ -403,11 +403,10 @@ def test_pieces_are_exact(text, size):
         assert "".join(cut) == text
         for i, piece in enumerate(cut):
             assert piece
-            assert piece[-1].isspace() or i == len(cut) - 1
-            # A piece outgrows the limit only by the word crossing it.
-            assert len(piece) <= size or (
-                " " not in piece[:size] and not any(map(str.isspace, piece[size:-1]))
-            )
+            # Every piece but the last ends at the first whitespace at or
+            # past its size-th character, which pins each cut exactly.
+            assert i == len(cut) - 1 or (len(piece) >= size and piece[-1].isspace())
+            assert not any(map(str.isspace, piece[size - 1:-1]))
         # Every output equals that of the whole text in one piece.
         with tempfile.TemporaryDirectory() as tmp:
             src = Path(tmp) / "doc.txt"

@@ -17,6 +17,14 @@ def test_load_splits_on_commas_and_newlines():
     assert sl == frozenset({"ndi", "nke", "a"})
 
 
+def test_load_splits_at_every_line_break():
+    # Every break of str.splitlines ends an entry, as it ends a lexicon
+    # line: an entry holding one could never match a token.
+    for brk in ("\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        sl = load_stoplist(f"na ya{brk}nke,{brk}ahụ".encode(), "mem")
+        assert sl == frozenset({"na ya", "nke", "ahụ"}), ascii(brk)
+
+
 def test_load_lowercases_and_dedupes():
     sl = load_stoplist("Ndi, NDI, nke".encode(), "mem")
     assert sl == frozenset({"ndi", "nke"})
