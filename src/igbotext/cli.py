@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Iterator
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import (
@@ -120,21 +121,22 @@ def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = ORDERS)
     )
 
 
-def _cmd_normalize(args: argparse.Namespace) -> str:
+def _cmd_normalize(args: argparse.Namespace) -> str | Iterator[str]:
     doc = load_corpus([args.file])[0]
-    text = " ".join(filter(None, normalized(doc.text, Mode(args.mode))))
+    texts = filter(None, normalized(doc.text, args.mode))
     if args.format == "json":
-        return to_json({"doc_id": doc.id, "text": text})
-    return text + "\n"
+        return to_json({"doc_id": doc.id, "text": " ".join(texts)})
+    # Each piece as it is made, after the space that joins it to the one
+    # before, then the closing newline.
+    return chain(map(str.__add__, chain([""], repeat(" ")), texts), ["\n"])
 
 
-def _cmd_tokenize(args: argparse.Namespace) -> str:
+def _cmd_tokenize(args: argparse.Namespace) -> str | Iterator[str]:
     doc = load_corpus([args.file])[0]
-    texts = normalized(doc.text, Mode(args.mode))
-    tokens = [token for text in texts for token in tokenize(text)]
+    streams = map(tokenize, normalized(doc.text, args.mode))
     if args.format == "json":
-        return to_json({"doc_id": doc.id, "tokens": tokens})
-    return "".join(token + "\n" for token in tokens)
+        return to_json({"doc_id": doc.id, "tokens": list(chain.from_iterable(streams))})
+    return ("".join(token + "\n" for token in tokens) for tokens in streams)
 
 
 def _cmd_represent(args: argparse.Namespace) -> str:

@@ -17,7 +17,6 @@ from itertools import compress, count
 from .errors import LexiconFormatError, LexiconInvariantError
 from .ngrams import ORDERS, NGram, rank_rows
 from .normalize import fold
-from .textio import decode_utf8
 
 
 class CompoundCategory(str, Enum):
@@ -72,8 +71,8 @@ def _validate_entry(entry: KeyFeature, where: str) -> None:
         raise LexiconInvariantError(f"{where}: Coordinate compounds join words with interior 'na'")
 
 
-def load_lexicon(data: bytes, source_id: str) -> list[KeyFeature]:
-    """Parse a lexicon file: one TAB-separated entry per non-empty line.
+def load_lexicon(text: str, source_id: str) -> list[KeyFeature]:
+    """Parse a lexicon's text: one TAB-separated entry per non-empty line.
 
     Format: phrase (space-separated words) TAB gloss TAB category name.
     Lines starting with '#' are ignored. Each entry is a ``KeyFeature``
@@ -82,7 +81,6 @@ def load_lexicon(data: bytes, source_id: str) -> list[KeyFeature]:
     normalized tokens. Violations of the category rules raise
     LexiconInvariantError naming the line.
     """
-    text = decode_utf8(data, source_id).text
     entries: list[KeyFeature] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):

@@ -22,9 +22,8 @@ from .lexicon import KeyFeature, load_lexicon, match_key_features
 from .ngrams import (
     ORDERS, NGram, NGramTable, extract_ngrams, is_order, is_whole, rank_features, rank_rows
 )
-from .normalize import Mode, normalize, pieces, tokenize
-from .stopwords import load_stoplist, remove_stopwords
-from .textio import Document
+from .normalize import Mode, load_stoplist, normalize, pieces, remove_stopwords, tokenize
+from .textio import Document, decode_utf8
 
 # The largest piece written to stdout in one call (see write_output).
 STDOUT_CHUNK = 1 << 16
@@ -129,11 +128,12 @@ def normalized(text: str, mode: Mode) -> Iterator[str]:
 
 
 def _stage(name, load, path):
-    """``load`` applied to a data file's bytes and path; an error of the
-    toolkit names the stage."""
+    """``load`` applied to a data file's text and path: the one place a
+    data file is decoded (``decode_utf8``). An error of the toolkit names
+    the stage."""
     path = Path(path)
     try:
-        return load(path.read_bytes(), str(path))
+        return load(decode_utf8(path.read_bytes(), str(path)).text, str(path))
     except IgboTextError as exc:
         raise PipelineStageError(name, exc) from exc
 

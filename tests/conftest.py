@@ -5,8 +5,7 @@ from pathlib import Path
 import pytest
 
 from igbotext import LanguageModel, Mode, Pipeline, PipelineConfig, load_corpus
-from igbotext.normalize import normalize, tokenize
-from igbotext.stopwords import remove_stopwords
+from igbotext.normalize import normalize, remove_stopwords, tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOC1_PATH = FIXTURES / "doc1.txt"

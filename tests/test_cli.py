@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from igbotext import Mode, PipelineConfig, load_corpus, run_pipeline
 from igbotext.ngrams import extract_ngrams
-from igbotext.stopwords import remove_stopwords
+from igbotext.normalize import remove_stopwords
 
 from conftest import DOC1_PATH
 
@@ -180,6 +181,42 @@ def test_exit_code_bad_lexicon(tmp_path):
     bad = tmp_path / "lex.tsv"
     bad.write_text("mmiri mmiri\twatery\tNominal\n", encoding="utf-8")
     assert run_cli("features", DOC1, "--lexicon", str(bad)).returncode == 4
+
+
+@pytest.mark.parametrize(
+    "flag, stage", [("--stopwords", "load-stoplist"), ("--lexicon", "load-lexicon")]
+)
+def test_undecodable_data_file_names_its_stage_and_byte_offset(tmp_path, capsys, flag, stage):
+    from igbotext.cli import main
+
+    bad = tmp_path / "data.txt"
+    bad.write_bytes(b"\xef\xbb\xbfmmiri\xff")
+    assert main(["features", DOC1, flag, str(bad)]) == 2
+    # The offset counts from the first byte of the file, the mark included.
+    assert f"stage '{stage}': {bad}: invalid UTF-8 at byte offset 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["normalize", "tokenize"])
+def test_text_commands_write_tsv_as_it_is_made(tmp_path, command):
+    # About 2 MB of doc1. Loading it holds its bytes and its text; the
+    # command adds only a piece of output at a time, not the whole output.
+    from igbotext.cli import main
+
+    text = DOC1_PATH.read_text(encoding="utf-8") + "\n"
+    path = tmp_path / "big.txt"
+    path.write_text(text * (2_000_000 // len(text.encode("utf-8")) + 1), encoding="utf-8")
+    for mode in ("paper", "strict"):
+        tracemalloc.start()
+        try:
+            load_corpus([path])
+            loaded = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            argv = [command, str(path), "--mode", mode, "--output", str(tmp_path / "out")]
+            assert main(argv) == 0
+            ran = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ran - loaded < 1_000_000, (mode, ran - loaded)
 
 
 @pytest.mark.parametrize("mode", ["paper", "strict"])

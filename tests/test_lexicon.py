@@ -7,7 +7,7 @@ from igbotext.lexicon import CompoundCategory, KeyFeature, load_lexicon, match_k
 
 
 def _load(text: str):
-    return load_lexicon(text.encode("utf-8"), "mem")
+    return load_lexicon(text, "mem")
 
 
 def test_load_nominal_entry():

@@ -197,6 +197,22 @@ def test_stoplist_decode_error_names_stage(tmp_path):
     assert isinstance(err.value.cause, DecodeError)
 
 
+def test_a_bom_led_data_file_loads_the_same_entries(tmp_path):
+    # Data files are decoded where text files are, so a leading byte-order
+    # mark is no part of the first entry.
+    stop, lex = tmp_path / "stop.txt", tmp_path / "lex.tsv"
+    loaded = []
+    for bom in ("", "\ufeff"):
+        stop.write_text(bom + "ahụ, na\nya", encoding="utf-8")
+        lex.write_text(bom + "komputa nkunaka\tlaptop\tNominal\n", encoding="utf-8")
+        cfg = PipelineConfig(mode=Mode.PAPER_GOLDEN, stoplist_path=stop, lexicon_path=lex)
+        pipeline = Pipeline(cfg)
+        loaded.append((pipeline.stoplist, pipeline.lexicon))
+    assert loaded[0] == loaded[1]
+    assert loaded[0][0] == {"ahụ", "na", "ya"}
+    assert [entry.gram for entry in loaded[0][1]] == [("komputa", "nkunaka")]
+
+
 def test_matrix_single_doc(doc1, golden_pipeline):
     bundle = golden_pipeline.represent(doc1)
     matrix = build_doc_term_matrix([bundle], 2)

@@ -32,7 +32,7 @@ from igbotext import normalize as normalize_module
 from igbotext.cli import main as cli_main
 from igbotext.lexicon import CompoundCategory, match_key_features
 from igbotext.ngrams import ORDERS, NGramTable, extract_ngrams, rank_features
-from igbotext.normalize import fold, normalize, pieces, tokenize
+from igbotext.normalize import fold, normalize, pieces, remove_stopwords, tokenize
 from igbotext.pipeline import (
     RepresentationBundle,
     build_doc_term_matrix,
@@ -41,7 +41,6 @@ from igbotext.pipeline import (
     table_to_obj,
     table_to_tsv,
 )
-from igbotext.stopwords import remove_stopwords
 from igbotext.textio import Document, decode_utf8
 
 from reference_pipeline import (

@@ -3,8 +3,7 @@ from __future__ import annotations
 import pytest
 
 from igbotext import EmptyStopListWarning, Mode
-from igbotext.normalize import normalize, tokenize
-from igbotext.stopwords import load_stoplist, remove_stopwords
+from igbotext.normalize import load_stoplist, normalize, remove_stopwords, tokenize
 
 from golden_doc1 import GOLDEN_FILTERED
 
@@ -13,7 +12,7 @@ STRICT = Mode.STRICT
 
 
 def test_load_splits_on_commas_and_newlines():
-    sl = load_stoplist(b"ndi, nke,\na", "mem")
+    sl = load_stoplist("ndi, nke,\na", "mem")
     assert sl == frozenset({"ndi", "nke", "a"})
 
 
@@ -21,32 +20,32 @@ def test_load_splits_at_every_line_break():
     # Every break of str.splitlines ends an entry, as it ends a lexicon
     # line: an entry holding one could never match a token.
     for brk in ("\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
-        sl = load_stoplist(f"na ya{brk}nke,{brk}ahụ".encode(), "mem")
+        sl = load_stoplist(f"na ya{brk}nke,{brk}ahụ", "mem")
         assert sl == frozenset({"na ya", "nke", "ahụ"}), ascii(brk)
 
 
 def test_load_lowercases_and_dedupes():
-    sl = load_stoplist("Ndi, NDI, nke".encode(), "mem")
+    sl = load_stoplist("Ndi, NDI, nke", "mem")
     assert sl == frozenset({"ndi", "nke"})
 
 
 def test_load_folds_entries_like_text():
     # NFD, tone-marked and upper-case spellings of one word are one entry:
     # the token that normalize makes of them.
-    sl = load_stoplist("ahu\u0323, Àhụ, A\u0300HU\u0323, àhụ́".encode(), "mem")
+    sl = load_stoplist("ahu\u0323, Àhụ, A\u0300HU\u0323, àhụ́", "mem")
     assert sl == frozenset({"ahụ"})
 
 
 @pytest.mark.parametrize("entry", ["ahu\u0323", "Àhụ"])
 def test_any_spelling_of_an_entry_removes_its_token(entry):
-    sl = load_stoplist(entry.encode(), "mem")
+    sl = load_stoplist(entry, "mem")
     tokens = tokenize(normalize("Ahụ ụlọ àhụ", GOLDEN))
     assert remove_stopwords(tokens, sl, GOLDEN) == ("ụlọ",)
 
 
 def test_load_empty_warns():
     with pytest.warns(EmptyStopListWarning):
-        sl = load_stoplist(b"", "mem")
+        sl = load_stoplist("", "mem")
     assert sl == frozenset()
 
 
@@ -61,7 +60,7 @@ def test_builtin_list_contents(golden_pipeline):
 
 
 def test_apostrophe_forms_unify():
-    sl = load_stoplist("n'".encode(), "mem")
+    sl = load_stoplist("n'", "mem")
     assert sl == {"n’"}  # the straight form is stored as the typographic one
 
 
@@ -103,6 +102,21 @@ def test_filter_idempotent(doc1, golden_pipeline):
     once = remove_stopwords(stream, golden_pipeline.stoplist, GOLDEN)
     twice = remove_stopwords(once, golden_pipeline.stoplist, GOLDEN)
     assert twice == once
+
+
+def test_a_mode_value_means_its_mode_in_both_rules():
+    # Both rules read one table by the mode, so "strict" is Mode.STRICT in
+    # the length rule as in the boundaries, and an unknown value fails alike.
+    tokens, words = ("na", "ese", "ab", "ụlọ"), frozenset({"ụlọ"})
+    assert remove_stopwords(tokens, words, "strict") == ("ese",)
+    for mode in Mode:
+        assert normalize("na-ese ab", mode.value) == normalize("na-ese ab", mode)
+        kept = remove_stopwords(tokens, words, mode)
+        assert remove_stopwords(tokens, words, mode.value) == kept
+    with pytest.raises(KeyError, match="bogus"):
+        normalize("ab", "bogus")
+    with pytest.raises(KeyError, match="bogus"):
+        remove_stopwords(tokens, words, "bogus")
 
 
 def test_empty_list_zero_minlength_is_identity():
