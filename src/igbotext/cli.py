@@ -23,6 +23,7 @@ from .errors import (
 from .ngrams import ORDERS
 from .normalize import Mode, tokenize
 from .pipeline import (
+    ENCODER,
     Pipeline,
     PipelineConfig,
     build_doc_term_matrix,
@@ -30,6 +31,7 @@ from .pipeline import (
     bundle_to_tsv,
     features_to_json,
     features_to_tsv,
+    interned,
     matrix_to_json,
     matrix_to_tsv,
     normalized,
@@ -121,25 +123,29 @@ def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = ORDERS)
     )
 
 
-def _cmd_normalize(args: argparse.Namespace) -> str | Iterator[str]:
+def _cmd_normalize(args: argparse.Namespace) -> Iterator[str]:
     doc = load_corpus([args.file])[0]
     texts = filter(None, normalized(doc.text, args.mode))
+    # Each piece as it is made, after the space that joins it to the one before.
+    joined = map(str.__add__, chain([""], repeat(" ")), texts)
     if args.format == "json":
-        return to_json({"doc_id": doc.id, "text": " ".join(texts)})
-    # Each piece as it is made, after the space that joins it to the one
-    # before, then the closing newline.
-    return chain(map(str.__add__, chain([""], repeat(" ")), texts), ["\n"])
+        # JSON escapes each character on its own, so the text's string is
+        # the pieces' escapes, cut into the object of an empty text.
+        head, _, tail = "".join(to_json({"doc_id": doc.id, "text": ""})).rpartition('""')
+        escaped = (ENCODER.encode(piece)[1:-1] for piece in joined)
+        return chain([head + '"'], escaped, ['"' + tail])
+    return chain(joined, ["\n"])
 
 
-def _cmd_tokenize(args: argparse.Namespace) -> str | Iterator[str]:
+def _cmd_tokenize(args: argparse.Namespace) -> Iterator[str]:
     doc = load_corpus([args.file])[0]
     streams = map(tokenize, normalized(doc.text, args.mode))
     if args.format == "json":
-        return to_json({"doc_id": doc.id, "tokens": list(chain.from_iterable(streams))})
+        return to_json({"doc_id": doc.id, "tokens": list(interned(streams))})
     return ("".join(token + "\n" for token in tokens) for tokens in streams)
 
 
-def _cmd_represent(args: argparse.Namespace) -> str:
+def _cmd_represent(args: argparse.Namespace) -> str | Iterator[str]:
     cfg = _pipeline_config(args, _parse_orders(args.n))
     doc = load_corpus([args.file])[0]
     bundle = Pipeline(cfg).represent(doc)
@@ -157,7 +163,7 @@ def _cmd_matrix(args: argparse.Namespace) -> str | Iterator[str]:
     return matrix_to_json(matrix) if args.format == "json" else matrix_to_tsv(matrix)
 
 
-def _cmd_features(args: argparse.Namespace) -> str:
+def _cmd_features(args: argparse.Namespace) -> str | Iterator[str]:
     cfg = _pipeline_config(args)
     doc = load_corpus([args.file])[0]
     features = Pipeline(cfg).features(doc)

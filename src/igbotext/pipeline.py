@@ -12,6 +12,7 @@ import os
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -25,8 +26,11 @@ from .ngrams import (
 from .normalize import Mode, load_stoplist, normalize, pieces, remove_stopwords, tokenize
 from .textio import Document, decode_utf8
 
-# The largest piece written to stdout in one call (see write_output).
+# The largest piece written in one call (see write_output).
 STDOUT_CHUNK = 1 << 16
+
+# The layout of every JSON output: indent 2, characters as they are.
+ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
 
 # The shipped stop-word list and lexicon.
 DATA = Path(__file__).parent / "data"
@@ -94,14 +98,12 @@ class Pipeline:
     def _filtered(self, doc: Document) -> tuple[str, ...]:
         """The document's stop-filtered token stream, made one piece of its
         text at a time (``normalized``), with one ``str`` per distinct
-        token: no whole-text copy is made, and the stream's words take
-        memory in proportion to the vocabulary."""
+        token (``interned``): no whole-text copy is made."""
         mode, stoplist = self.cfg.mode, self.stoplist
-        seen: dict[str, str] = {}
         kept = (remove_stopwords(tokenize(t), stoplist, mode) for t in normalized(doc.text, mode))
         # Made straight into a tuple: a list would be copied into it, and
         # both would be alive at once.
-        return tuple(chain.from_iterable(map(seen.setdefault, k, k) for k in kept))
+        return tuple(interned(kept))
 
     def represent(self, doc: Document) -> RepresentationBundle:
         """The document's n-gram table of each configured order."""
@@ -125,6 +127,13 @@ def normalized(text: str, mode: Mode) -> Iterator[str]:
     ``normalize`` and ``tokenize`` commands alike. Joined by single spaces,
     the non-empty ones are ``normalize(text, mode)``."""
     return (normalize(piece, mode) for piece in pieces(text))
+
+
+def interned(streams: Iterable[tuple[str, ...]]) -> Iterator[str]:
+    """The words of ``streams`` in order, one ``str`` per distinct word, so
+    that a stream of them takes memory in proportion to the vocabulary."""
+    seen: dict[str, str] = {}
+    return chain.from_iterable(map(seen.setdefault, s, s) for s in streams)
 
 
 def _stage(name, load, path):
@@ -171,10 +180,11 @@ def build_doc_term_matrix(bundles: Iterable[RepresentationBundle], n: int) -> Do
 
 # --- serialization -----------------------------------------------------
 
-def to_json(payload: object) -> str:
-    """The JSON text of every output but the matrix: indent 2, characters
-    as they are (``ensure_ascii=False``) and a closing newline."""
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+def to_json(payload: object) -> Iterator[str]:
+    """The ``ENCODER`` text of ``payload`` and a closing newline, in pieces
+    to write as they are made; joined, they are what ``json.dumps`` gives
+    with the same settings, plus the newline."""
+    return chain(ENCODER.iterencode(payload), ["\n"])
 
 
 def table_to_tsv(t: NGramTable) -> str:
@@ -206,7 +216,7 @@ def bundle_to_tsv(b: RepresentationBundle) -> str:
     return "\n".join(block for block in blocks if block)
 
 
-def bundle_to_json(b: RepresentationBundle) -> str:
+def bundle_to_json(b: RepresentationBundle) -> Iterator[str]:
     """One table object, or a list of them in ascending order when several."""
     objs = [table_to_obj(b, n) for n in sorted(b.tables)]
     return to_json(objs[0] if len(objs) == 1 else objs)
@@ -323,33 +333,16 @@ def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
     return chain([header], _dense_rows(m, m.doc_ids, "\t", "\n"))
 
 
-# json.dumps with an indent, as in to_json, runs the pure-Python encoder;
-# strings are encoded here by the C one and laid out by _json_array.
-_json_str = json.JSONEncoder(ensure_ascii=False).encode
-
-
-def _json_array(items: list[str], depth: int) -> str:
-    """A JSON array of encoded items, laid out as indent=2 at ``depth``."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-
-
 def matrix_to_json(m: DocTermMatrix) -> Iterator[str]:
     """The bytes ``to_json`` gives for ``{n, docs, features, cells}``, made
     one dense row at a time.
 
-    ``cells[i]`` is document i's dense row. Like a TSV row, it is cut from
-    one line of zeros, ``",\\n      0"`` per feature (``_dense_rows``),
-    whose first comma gives way to the row's ``[``.
+    ``ENCODER`` lays out the rest; ``cells[i]`` is document i's dense row.
+    Like a TSV row, it is cut from one line of zeros, ``",\\n      0"`` per
+    feature (``_dense_rows``), whose first comma gives way to the row's ``[``.
     """
-    yield f'{{\n  "n": {m.n},\n  "docs": '
-    yield _json_array([_json_str(doc_id) for doc_id in m.doc_ids], 1)
-    yield ',\n  "features": '
-    yield _json_array(
-        [_json_array([_json_str(word) for word in gram], 2) for gram in m.features], 1
-    )
+    head = {"n": m.n, "docs": m.doc_ids, "features": m.features}
+    yield ENCODER.encode(head)[:-2]  # up to its closing "\n}"
     yield ',\n  "cells": ['
     heads = chain(["\n    ["], repeat(",\n    ["))
     yield from _dense_rows(m, heads, ",\n      ", "\n    ]" if m.features else "]", skip=1)
@@ -363,7 +356,7 @@ def features_to_tsv(features: list[KeyFeature]) -> str:
     )
 
 
-def features_to_json(doc_id: str, features: list[KeyFeature]) -> str:
+def features_to_json(doc_id: str, features: list[KeyFeature]) -> Iterator[str]:
     return to_json({
         "doc_id": doc_id,
         "features": [
@@ -381,20 +374,21 @@ def features_to_json(doc_id: str, features: list[KeyFeature]) -> str:
 def write_output(
     text: str | Iterable[str], destination: str | os.PathLike[str] | None
 ) -> None:
-    """Write to a file (UTF-8, exact bytes) or stdout when destination is None.
+    """Write the UTF-8 bytes of ``text`` to a file, or to stdout when
+    destination is None, whatever stdout's own encoding.
 
     ``text`` is one string or an iterable of strings written as they are
-    made, so that only one is alive at a time. Stdout gets them in pieces
-    of at most ``STDOUT_CHUNK`` characters, so that a closed pipe raises
+    made, so that only one is alive at a time. Each goes out in pieces of
+    at most ``STDOUT_CHUNK`` characters, so that a closed pipe raises
     BrokenPipeError instead of truncating the output silently.
     """
     chunks = [text] if isinstance(text, str) else text
-    if destination is None:
+    sink = nullcontext(sys.stdout.buffer) if destination is None else open(destination, "wb")
+    with sink as fh:
         for chunk in chunks:
+            if len(chunk) <= STDOUT_CHUNK:  # most are; slicing each costs more than writing it
+                fh.write(chunk.encode("utf-8"))
+                continue
             for start in range(0, len(chunk), STDOUT_CHUNK):
-                sys.stdout.write(chunk[start:start + STDOUT_CHUNK])
-        sys.stdout.flush()
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+                fh.write(chunk[start:start + STDOUT_CHUNK].encode("utf-8"))
+        fh.flush()

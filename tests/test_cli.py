@@ -196,10 +196,10 @@ def test_undecodable_data_file_names_its_stage_and_byte_offset(tmp_path, capsys,
     assert f"stage '{stage}': {bad}: invalid UTF-8 at byte offset 8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["normalize", "tokenize"])
-def test_text_commands_write_tsv_as_it_is_made(tmp_path, command):
-    # About 2 MB of doc1. Loading it holds its bytes and its text; the
-    # command adds only a piece of output at a time, not the whole output.
+def _added_peaks(tmp_path, command: str, *flags: str):
+    """(mode, bytes) per mode: how far the tracemalloc peak of ``command``
+    on about 2 MB of doc1 exceeds that of loading it, which holds its bytes
+    and its text."""
     from igbotext.cli import main
 
     text = DOC1_PATH.read_text(encoding="utf-8") + "\n"
@@ -211,12 +211,45 @@ def test_text_commands_write_tsv_as_it_is_made(tmp_path, command):
             load_corpus([path])
             loaded = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            argv = [command, str(path), "--mode", mode, "--output", str(tmp_path / "out")]
+            argv = [command, str(path), "--mode", mode, *flags, "--output", str(tmp_path / "out")]
             assert main(argv) == 0
             ran = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ran - loaded < 1_000_000, (mode, ran - loaded)
+        yield mode, ran - loaded
+
+
+@pytest.mark.parametrize("command", ["normalize", "tokenize"])
+def test_text_commands_write_tsv_as_it_is_made(tmp_path, command):
+    # The command adds only a piece of output at a time, not the whole
+    # output.
+    for mode, added in _added_peaks(tmp_path, command):
+        assert added < 1_000_000, (mode, added)
+
+
+@pytest.mark.parametrize("command", ["normalize", "tokenize", "represent"])
+def test_json_is_written_as_it_is_made(tmp_path, command):
+    # The JSON text is written a piece at a time, and a token list holds
+    # one str per distinct word.
+    for mode, added in _added_peaks(tmp_path, command, "--format", "json"):
+        assert added < 1_000_000, (mode, added)
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "utf-16"])
+@pytest.mark.parametrize(
+    "argv",
+    [["normalize", DOC1], ["represent", DOC1, "--format", "json"]],
+    ids=["normalize", "represent"],
+)
+def test_stdout_gets_the_output_files_bytes_whatever_its_encoding(tmp_path, argv, encoding):
+    # doc1 holds letters that latin-1 cannot encode.
+    out = tmp_path / "out"
+    command = [sys.executable, "-m", "igbotext", *argv]
+    assert subprocess.run([*command, "--output", str(out)]).returncode == 0
+    env = {**os.environ, "PYTHONIOENCODING": encoding}
+    proc = subprocess.run(command, capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["paper", "strict"])

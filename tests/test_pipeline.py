@@ -344,13 +344,13 @@ def test_bundle_tsv_has_one_row_per_entry(doc1_bundle):
 
 
 def test_json_roundtrip(doc1_bundle):
-    text = bundle_to_json(doc1_bundle)
+    text = "".join(bundle_to_json(doc1_bundle))
     parsed = bundle_from_json(text)
     assert parsed.doc_id == doc1_bundle.doc_id
     for n in (1, 2, 3):
         assert parsed.tables[n].counts == doc1_bundle.tables[n].counts
         assert parsed.tables[n].total_windows == doc1_bundle.tables[n].total_windows
-    assert bundle_to_json(parsed) == text
+    assert "".join(bundle_to_json(parsed)) == text
 
 
 def _table_obj(**fields) -> dict:
@@ -462,7 +462,7 @@ def test_json_single_order_shape(doc1, golden_pipeline):
     import json
 
     bundle = Pipeline(PipelineConfig(mode=Mode.PAPER_GOLDEN, orders=(1,))).represent(doc1)
-    payload = json.loads(bundle_to_json(bundle))
+    payload = json.loads("".join(bundle_to_json(bundle)))
     assert payload["n"] == 1
     assert payload["total"] == 36
     assert payload["entries"][0] == {"gram": ["nkuziie"], "count": 4}

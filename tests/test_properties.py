@@ -34,12 +34,14 @@ from igbotext.lexicon import CompoundCategory, match_key_features
 from igbotext.ngrams import ORDERS, NGramTable, extract_ngrams, rank_features
 from igbotext.normalize import fold, normalize, pieces, remove_stopwords, tokenize
 from igbotext.pipeline import (
+    ENCODER,
     RepresentationBundle,
     build_doc_term_matrix,
     bundle_from_json,
     bundle_to_json,
     table_to_obj,
     table_to_tsv,
+    to_json,
 )
 from igbotext.textio import Document, decode_utf8
 
@@ -217,7 +219,7 @@ json_words = st.text(alphabet='ab"\\\n\x01\u00e9e\u0301\u1ee5’ ', min_size=1, 
 @settings(max_examples=300, deadline=None)
 def test_bundle_json_round_trip(tokens, orders, doc_id):
     bundle = RepresentationBundle(doc_id, {n: extract_ngrams(tuple(tokens), n) for n in orders})
-    text = bundle_to_json(bundle)
+    text = "".join(bundle_to_json(bundle))
     assert isinstance(json.loads(text), dict) == (len(orders) == 1)
     parsed = bundle_from_json(text)
     assert parsed.doc_id == doc_id
@@ -225,7 +227,33 @@ def test_bundle_json_round_trip(tokens, orders, doc_id):
     for n in orders:
         assert parsed.tables[n].counts == bundle.tables[n].counts
         assert parsed.tables[n].total_windows == bundle.tables[n].total_windows
-    assert bundle_to_json(parsed) == text
+    assert "".join(bundle_to_json(parsed)) == text
+
+
+json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | json_words,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3) | json_words, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_payloads)
+@example({"a\x01": ["\u1ee5\n", [], {}], "": [[]], "\u00e9": []})
+@settings(max_examples=300, deadline=None)
+def test_to_json_is_the_standard_encoders_text(payload):
+    expected = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    assert "".join(to_json(payload)) == expected
+
+
+@given(st.lists(st.text(max_size=6) | json_words, max_size=8))
+@example(["a\x01", "\u1ee5\\", '"\n', ""])
+@settings(max_examples=300, deadline=None)
+def test_escaped_pieces_join_to_the_escaped_whole(parts):
+    # The normalize command writes a text's JSON string as the escapes of
+    # its pieces.
+    escaped = "".join(ENCODER.encode(part)[1:-1] for part in parts)
+    assert escaped == ENCODER.encode("".join(parts))[1:-1]
 
 
 @given(streams, st.lists(words, min_size=1, max_size=6))
@@ -380,9 +408,9 @@ def piece_texts(draw):
     return draw(ends) + "".join(draw(st.lists(items, max_size=30))) + draw(ends)
 
 
-def _cli_output(src: Path, command: str, mode: Mode) -> str:
+def _cli_output(src: Path, command: str, mode: Mode, *flags: str) -> str:
     out = src.with_suffix(".out")
-    assert cli_main([command, str(src), "--mode", mode.value, "--output", str(out)]) == 0
+    assert cli_main([command, str(src), "--mode", mode.value, *flags, "--output", str(out)]) == 0
     return out.read_text(encoding="utf-8")
 
 
@@ -422,6 +450,12 @@ def test_pieces_are_exact(text, size):
                 assert _cli_output(src, "tokenize", mode) == "".join(
                     token + "\n" for token in tokenize(whole)
                 )
+                for command, field, value in (("normalize", "text", whole),
+                                              ("tokenize", "tokens", list(tokenize(whole)))):
+                    payload = {"doc_id": str(src), field: value}
+                    assert _cli_output(src, command, mode, "--format", "json") == (
+                        json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+                    )
 
 
 @given(st.one_of(noisy_texts, marked_texts, st.text(max_size=60)))
