@@ -5,6 +5,10 @@ closed: windows run across removed stop words and sentence ends, with no
 padding or boundary symbols. Probabilities are raw MLE ratios computed on
 demand from integer counts; there is no smoothing, so unseen events are
 probability zero and unseen contexts are errors.
+
+Every output is in the rank order stated at ``rank_rows``, in one of two
+forms: ``rank_rows`` for rows that carry their joined gram (table JSON,
+matrix axis, features), ``count_runs`` for bare joined grams (table TSV).
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import groupby, islice
 from operator import itemgetter
-from typing import Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 from .errors import EmptyModelError, InvalidOrderError, UnknownContextError
 
@@ -100,8 +105,9 @@ def rank_rows(rows: list[Row]) -> list[Row]:
     Rank order is descending count, ties in Unicode code point order of
     the NFC form of the space-joined gram; rows equal on both keep their
     order. Every key is a ``str`` or an ``int``, so neither sort compares
-    tuples, and the joined gram is made once, by the caller, for both the
-    sort and the output.
+    tuples. The caller makes the joined gram once, for both the sort and
+    its output: the table JSON and the matrix axis (``rank_features``) and
+    the feature list (``lexicon.match_key_features``).
     """
     rows.sort(key=_nfc_gram)
     rows.sort(key=itemgetter(1), reverse=True)  # stable, reversed or not
@@ -113,3 +119,13 @@ def rank_features(counts: Mapping[NGram, int]) -> list[tuple[NGram, int]]:
     ``counts``, in rank order (see ``rank_rows``)."""
     rows = rank_rows([(" ".join(gram), count, gram) for gram, count in counts.items()])
     return [(gram, count) for _, count, gram in rows]
+
+
+def count_runs(counts: Mapping[NGram, int]) -> Iterator[tuple[int, list[str]]]:
+    """``(count, joined grams)`` runs of equal counts, in rank order (see
+    ``rank_rows``; both sorts are stable). Every step per gram is a C
+    callable, and no tuple is made per gram."""
+    nfc = partial(unicodedata.normalize, "NFC")
+    grams = sorted(counts, key=counts.__getitem__, reverse=True)
+    for count, run in groupby(grams, key=counts.__getitem__):
+        yield count, sorted(map(" ".join, run), key=nfc)

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import IgboTextError, InvalidOrderError, OrderMismatchError, PipelineStageError
 from .lexicon import KeyFeature, load_lexicon, match_key_features
 from .ngrams import (
-    ORDERS, NGram, NGramTable, extract_ngrams, is_order, is_whole, rank_features, rank_rows
+    ORDERS, NGram, NGramTable, count_runs, extract_ngrams, is_order, is_whole, rank_features
 )
 from .normalize import Mode, load_stoplist, normalize, pieces, remove_stopwords, tokenize
 from .textio import Document, decode_utf8
@@ -188,13 +188,17 @@ def to_json(payload: object) -> Iterator[str]:
 
 
 def table_to_tsv(t: NGramTable) -> str:
-    """One "gram<TAB>count" row per entry, in rank order."""
-    rows = rank_rows([(" ".join(gram), count) for gram, count in t.counts.items()])
-    # Each row gives way to its line, so that rows and lines are never
-    # all alive at once.
-    for i, (joined, count) in enumerate(rows):
-        rows[i] = f"{joined}\t{count}\n"
-    return "".join(rows)
+    """One "gram<TAB>count" row per entry, in rank order: each run of equal
+    counts is its grams joined by, and ended with, the same tail."""
+    return "".join(_tsv_runs(t.counts))
+
+
+def _tsv_runs(counts: Mapping[NGram, int]) -> Iterator[str]:
+    # A generator, so that its last run's grams are gone before the join.
+    for count, grams in count_runs(counts):
+        tail = f"\t{count}\n"
+        yield tail.join(grams)
+        yield tail
 
 
 def table_to_obj(b: RepresentationBundle, n: int) -> dict:
@@ -375,7 +379,9 @@ def write_output(
     text: str | Iterable[str], destination: str | os.PathLike[str] | None
 ) -> None:
     """Write the UTF-8 bytes of ``text`` to a file, or to stdout when
-    destination is None, whatever stdout's own encoding.
+    destination is None, whatever stdout's own encoding. A stdout with no
+    ``buffer``, such as an ``io.StringIO`` put in its place, is written
+    the strings themselves.
 
     ``text`` is one string or an iterable of strings written as they are
     made, so that only one is alive at a time. Each goes out in pieces of
@@ -383,12 +389,14 @@ def write_output(
     BrokenPipeError instead of truncating the output silently.
     """
     chunks = [text] if isinstance(text, str) else text
-    sink = nullcontext(sys.stdout.buffer) if destination is None else open(destination, "wb")
+    stdout = getattr(sys.stdout, "buffer", sys.stdout)
+    encode = str if destination is None and stdout is sys.stdout else str.encode  # UTF-8
+    sink = nullcontext(stdout) if destination is None else open(destination, "wb")
     with sink as fh:
         for chunk in chunks:
             if len(chunk) <= STDOUT_CHUNK:  # most are; slicing each costs more than writing it
-                fh.write(chunk.encode("utf-8"))
+                fh.write(encode(chunk))
                 continue
             for start in range(0, len(chunk), STDOUT_CHUNK):
-                fh.write(chunk[start:start + STDOUT_CHUNK].encode("utf-8"))
+                fh.write(encode(chunk[start:start + STDOUT_CHUNK]))
         fh.flush()

@@ -82,6 +82,11 @@ def reference_rank(table: dict[tuple[str, ...], int]) -> list[tuple[tuple[str, .
     )
 
 
+def reference_table_tsv(table: dict[tuple[str, ...], int]) -> str:
+    """One "gram<TAB>count" line per entry of ``table``, in rank order."""
+    return "".join(f"{' '.join(gram)}\t{count}\n" for gram, count in reference_rank(table))
+
+
 def reference_matrix(
     tables: list[tuple[str, dict[tuple[str, ...], int]]],
 ) -> tuple[list[str], list[tuple[str, ...]], list[list[int]]]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -250,6 +252,22 @@ def test_stdout_gets_the_output_files_bytes_whatever_its_encoding(tmp_path, argv
     proc = subprocess.run(command, capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["normalize", DOC1], ["represent", DOC1, "--format", "json"], ["represent", DOC1]],
+    ids=["normalize", "represent-json", "represent-tsv"],
+)
+def test_stdout_without_a_buffer_gets_the_output_files_text(tmp_path, argv):
+    # A text stream in stdout's place, as an in-process caller may set.
+    from igbotext.cli import main
+
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(argv) == 0
+    assert stdout.getvalue() == out.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("mode", ["paper", "strict"])

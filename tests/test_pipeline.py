@@ -343,6 +343,11 @@ def test_bundle_tsv_has_one_row_per_entry(doc1_bundle):
     assert len(rows) == 27 + 31 + 34
 
 
+def test_bundle_tsv_is_one_str(doc1_bundle):
+    # Made whole, not as pieces: a timer around the call sees all its work.
+    assert type(bundle_to_tsv(doc1_bundle)) is str
+
+
 def test_json_roundtrip(doc1_bundle):
     text = "".join(bundle_to_json(doc1_bundle))
     parsed = bundle_from_json(text)

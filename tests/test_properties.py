@@ -39,6 +39,7 @@ from igbotext.pipeline import (
     build_doc_term_matrix,
     bundle_from_json,
     bundle_to_json,
+    bundle_to_tsv,
     table_to_obj,
     table_to_tsv,
     to_json,
@@ -53,6 +54,7 @@ from reference_pipeline import (
     reference_matrix_tsv,
     reference_rank,
     reference_table,
+    reference_table_tsv,
     reference_tokens,
 )
 
@@ -554,12 +556,7 @@ def test_every_ranking_matches_the_reference_sort(n_table):
     n, counts = n_table
     expected = reference_rank(counts)
     table = NGramTable(counts, sum(counts.values()))
-    assert rank_features(table.counts) == expected
-    tsv = "".join(f"{' '.join(gram)}\t{count}\n" for gram, count in expected)
-    assert table_to_tsv(table).encode("utf-8") == tsv.encode("utf-8")
-    assert table_to_obj(RepresentationBundle("d", {n: table}), n)["entries"] == [
-        {"gram": list(gram), "count": count} for gram, count in expected
-    ]
+    _assert_table_outputs_rank_as(n, table, expected)
     # One lexicon entry per gram, plus one that is not in the stream. Each
     # gram occurs `count` times in the stream, each time followed by n
     # tokens that are in no gram, so no other window spells a gram.
@@ -574,6 +571,72 @@ def test_every_ranking_matches_the_reference_sort(n_table):
     features = match_key_features(stream, lexicon)
     assert [(f.gram, f.count) for f in features] == expected
     assert [int(f.gloss) for f in features] == [list(counts).index(g) for g, _ in expected]
+
+
+def _assert_table_outputs_rank_as(n, table, expected):
+    assert rank_features(table.counts) == expected
+    tsv = "".join(f"{' '.join(gram)}\t{count}\n" for gram, count in expected)
+    assert table_to_tsv(table).encode("utf-8") == tsv.encode("utf-8")
+    assert table_to_obj(RepresentationBundle("d", {n: table}), n)["entries"] == [
+        {"gram": list(gram), "count": count} for gram, count in expected
+    ]
+
+
+def wide_counts(shared):
+    """Counts of a few ``shared`` values, so that runs of equal counts are
+    long, mixed with counts of any width, so that many runs hold one gram."""
+    return st.one_of(st.sampled_from(shared), st.integers(1, 10**12))
+
+
+@st.composite
+def wide_tables(draw):
+    """An order and a table of up to a few hundred entries. Each word of a
+    gram is two words of a small pool, picked by index: one draw per gram,
+    and two words can compose across their seam (e + U+0301)."""
+    n = draw(st.sampled_from(ORDERS))
+    pool = draw(st.lists(rank_words, min_size=5, max_size=20, unique=True))
+    words = [a + b for a in pool for b in pool]
+    size = draw(st.integers(50, 300))
+    picks = draw(st.lists(st.integers(0, len(words) ** n - 1), min_size=size, max_size=size))
+    counts = wide_counts(draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=4)))
+    grams = (tuple(words[i // len(words) ** k % len(words)] for k in range(n)) for i in picks)
+    return n, {gram: draw(counts) for gram in grams}
+
+
+@given(wide_tables())
+# One entry; every entry at one count; every run of one gram.
+@example((2, {("a", "b"): 7}))
+@example((1, {("b",): 5, ("e\u0301",): 5, ("a",): 5, ("\u00e9",): 5, ("a b",): 5}))
+@example((3, {("a", "a", "a"): 1, ("c", "b", "a"): 10**12, ("b", "b", "b"): 10, ("a", "", "a"): 9}))
+@settings(max_examples=100, deadline=None)
+def test_table_outputs_rank_wide_counts_as_the_reference_sort(n_table):
+    n, counts = n_table
+    table = NGramTable(counts, sum(counts.values()))
+    _assert_table_outputs_rank_as(n, table, reference_rank(counts))
+
+
+@st.composite
+def arbitrary_bundles(draw):
+    """Tables of one to three orders, any of them empty."""
+    counts = wide_counts([1, 2, 3])
+    tables = {}
+    for n in draw(st.lists(st.sampled_from(ORDERS), min_size=1, max_size=3, unique=True)):
+        grams = draw(st.lists(st.tuples(*[rank_words] * n), max_size=30))
+        tables[n] = {gram: draw(counts) for gram in grams}
+    return tables
+
+
+@given(arbitrary_bundles())
+@example({3: {}})
+@example({2: {}, 1: {("a",): 2, ("b",): 2}})
+@example({1: {("a",): 1}, 2: {}, 3: {("a", "b", "c"): 1}})
+@settings(max_examples=150, deadline=None)
+def test_bundle_tsv_is_the_reference_tables_blank_line_joined(tables):
+    bundle = RepresentationBundle(
+        "d", {n: NGramTable(counts, sum(counts.values())) for n, counts in tables.items()}
+    )
+    blocks = [reference_table_tsv(tables[n]) for n in sorted(tables)]
+    assert bundle_to_tsv(bundle) == "\n".join(block for block in blocks if block)
 
 
 # Tokens of a few letters, "ụ" spelled both NFC and NFD, so that phrases
