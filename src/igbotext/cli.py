@@ -125,7 +125,9 @@ def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = ORDERS)
 
 def _cmd_normalize(args: argparse.Namespace) -> Iterator[str]:
     doc = load_corpus([args.file])[0]
-    texts = filter(None, normalized(doc.text, args.mode))
+    # normalize leaves whitespace as it falls; the command prints each
+    # piece's words (``tokenize``) joined by single spaces.
+    texts = filter(None, map(" ".join, map(tokenize, normalized(doc.text, args.mode))))
     # Each piece as it is made, after the space that joins it to the one before.
     joined = map(str.__add__, chain([""], repeat(" ")), texts)
     if args.format == "json":

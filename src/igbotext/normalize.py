@@ -54,6 +54,27 @@ TONE_MARKS = "\u0300\u0301\u0304"  # grave, acute, macron
 # U+0323 or U+0307), which ``fold`` recomposes by hand.
 _DOTTED = tuple((unicodedata.normalize("NFD", c), c) for c in "ịọụṅ")
 
+
+def _toned() -> dict[str, str]:
+    """Each tone mark, and each character whose canonical decomposition
+    holds one (ì, é, ǹ, ờ, ǘ …), mapped to its fold by the definition:
+    lowered, decomposed, tone marks dropped, recomposed.
+
+    Every such character is in U+00C0..U+04FF or U+1E00..U+1FFF, so only
+    these blocks are scanned (a test scans the whole code space)."""
+    tones = frozenset(TONE_MARKS)
+    table = {}
+    for c in map(chr, (*range(0xC0, 0x500), *range(0x1E00, 0x2000))):
+        if not tones.isdisjoint(unicodedata.normalize("NFD", c)):
+            kept = (ch for ch in unicodedata.normalize("NFD", c.lower()) if ch not in tones)
+            table[c] = unicodedata.normalize("NFC", "".join(kept))
+    return table
+
+
+_TONED = _toned()
+# The keys of ``_TONED`` as one class, captured, so that ``split`` keeps them.
+_TONED_SPLIT = re.compile(f"([{''.join(_TONED)}])")
+
 # Currency signs plus the enumerated punctuation/special characters.
 _CURRENCY = "£€₦$"  # £ € ₦ $
 _PUNCTUATION = ":;?!\"{}+&[]<>/@*=^%,.()" + "“”"  # incl. “ ”
@@ -74,29 +95,31 @@ _DELETED = re.compile(f"[{re.escape(_CURRENCY + _PUNCTUATION)}]")
 _DIGIT_WORD = re.compile(r"\s(?=([^\s0-9]*))\1[0-9]\S*")
 
 # A word that starts with a combining mark (general category Mn, Mc or
-# Me) and the space before it: the mark was cut off from its letter, or
-# stood alone. The class of the first character is a cheap superset,
-# checked character by character on each match: no mark is below U+0300
-# or in U+1E00..U+20CF (Latin Extended Additional, the block of ị, ọ, ụ
-# and ṅ, up to the currency signs).
-_MARK_LED_WORD = re.compile(" [\u0300-\u1dff\u20d0-\U0010ffff]\\S*")
+# Me): the mark was cut off from its letter, or stood alone. The class of
+# the first character is a cheap superset, checked character by character
+# on each match: no mark is below U+0300 or in U+1E00..U+20CF (Latin
+# Extended Additional, the block of ị, ọ, ụ and ṅ, up to the currency
+# signs), nor is U+1680 or U+3000, the only whitespace left outside those
+# ranges, so a match never starts at whitespace. The lookbehind asks for
+# whitespace, or the start of the text, before that character. A pattern
+# led by a class is found by a C scan for the class.
+_MARK_LED_WORD = re.compile("[^\x00-\u02ff\u1680\u1e00-\u20cf\u3000](?<!\\S.)\\S*")
 
 
 def _drop_leading_marks(match: re.Match[str]) -> str:
     word = match.group()
-    i = 1
+    i = 0
     while i < len(word) and unicodedata.category(word[i])[0] == "M":
         i += 1
-    # A word of marks alone goes with its space.
-    return " " + word[i:] if i < len(word) else ""
+    return word[i:]
 
 
 def _strip_tones(text: str) -> str:
-    """Lowered ``text`` decomposed, tone marks removed, and ị, ọ, ụ and ṅ
-    recomposed by hand: the input of ``fold``'s NFC."""
-    text = unicodedata.normalize("NFD", text.lower())
-    for mark in TONE_MARKS:
-        text = text.replace(mark, "")
+    """Lowered ``text`` with each tone mark and toned character replaced
+    by its fold (``_TONED``), and ị, ọ, ụ and ṅ spelled in NFD recomposed by
+    hand: the input of ``fold``'s NFC."""
+    parts = _TONED_SPLIT.split(text.lower())
+    text = "".join(map(_TONED.get, parts, parts))
     for spelled, letter in _DOTTED:
         text = text.replace(spelled, letter)
     return text
@@ -106,21 +129,28 @@ def fold(text: str) -> str:
     """``text`` lowercased, tone marks stripped, in NFC: the one fold of
     text (``normalize``), stop-word entries and lexicon phrases.
 
-    The lowered text is decomposed canonically, the grave, acute and macron
-    marks removed and the rest recomposed, so "È" and "E" + U+0300 fold
-    alike. The dot below of ị, ọ and ụ is part of the letter and stays.
+    By definition the lowered text is decomposed canonically, the grave,
+    acute and macron marks removed and the rest recomposed, so "È" and
+    "E" + U+0300 fold alike. The dot below of ị, ọ and ụ is part of the
+    letter and stays.
 
-    Before the NFC, each of ị, ọ, ụ and ṅ is recomposed by hand
-    (``_strip_tones``). A lone U+0323 or U+0307 may compose with the letter
-    before it, so NFC cannot pass text holding one by its quick check and
-    would recompose all of it. Each replacement swaps in a canonically
-    equivalent sequence, so the NFC that always follows gives the same
-    result for any input; on Igbo text it ends at its quick check."""
+    The whole text is never decomposed. Each tone mark is deleted, and
+    each character whose decomposition holds one is replaced by the NFC of
+    that decomposition without it (``_TONED``, one regex class, one scan).
+    Each of ị, ọ, ụ and ṅ spelled in NFD is recomposed by hand: a lone
+    U+0323 or U+0307 may compose with the letter before it, so NFC cannot
+    pass text holding one by its quick check and would recompose all of
+    it. Each replacement swaps in a canonically equivalent sequence, so
+    the NFC that always follows gives the definition's result for any
+    input; on Igbo text, and on text with other precomposed letters (ñ, ẹ,
+    ü), it ends at its quick check."""
     return unicodedata.normalize("NFC", _strip_tones(text))
 
 
 def normalize(text: str, mode: Mode) -> str:
-    """Normalized NFC text, words joined by single spaces.
+    """Normalized NFC text. Its words are ``tokenize``'s tokens; the
+    whitespace between them is left as it falls, since ``tokenize`` is
+    where spacing ends.
 
     Steps, in order: ``fold`` (lowercase, Ụ→ụ included; strip tone marks);
     drop every word containing a digit; delete currency signs and the listed
@@ -129,18 +159,17 @@ def normalize(text: str, mode: Mode) -> str:
     word. Words emptied by deletion vanish, and so do words of marks alone.
     """
     # A digit word goes with the whitespace before it, which a space
-    # replaces; split() below drops the extra spaces.
-    text = _DELETED.sub("", _DIGIT_WORD.sub(" ", " " + fold(text)))
+    # replaces. Matches start at whitespace, so the text is given a space
+    # in front; its first character is a space either way, and goes.
+    text = _DIGIT_WORD.sub(" ", " " + fold(text))[1:]
+    text = _DELETED.sub("", text)
     for boundary in _RULES[mode][0]:
         text = text.replace(boundary, " ")
-    text = " ".join(text.split())
     # A deleted character can leave a letter next to the combining mark
     # that followed it ("ahu.̣" → "ahụ"), so the result is recomposed.
     text = unicodedata.normalize("NFC", text)
     # A mark still at a word start has no letter to belong to ("u'̣lo").
-    # The pattern finds a word by the space before it, so the first word
-    # is given one.
-    return _MARK_LED_WORD.sub(_drop_leading_marks, " " + text)[1:]
+    return _MARK_LED_WORD.sub(_drop_leading_marks, text)
 
 
 # The fewest characters in a piece of ``pieces`` that is not the last.
@@ -155,13 +184,13 @@ def pieces(text: str) -> Iterator[str]:
     """``text`` in consecutive pieces that rejoin to it, each cut right
     after a whitespace character, so that no word is split.
 
-    ``normalize`` is word-local, so the non-empty ``normalize`` of the
-    pieces, joined by single spaces, is that of the whole text, and
-    ``tokenize`` of the pieces, chained, is its token stream. A piece ends
-    right after the first whitespace at or past its ``_PIECE``-th
-    character, or at the end of the text: every piece but the last has at
-    least ``_PIECE`` characters, and outgrows them only by the word
-    crossing that character.
+    ``normalize`` is word-local, so ``tokenize`` of the pieces' normalized
+    texts, chained, is the whole text's token stream; spacing ends in
+    ``tokenize``, and the ``normalize`` command prints those tokens joined
+    by single spaces. A piece ends right after the first whitespace at or
+    past its ``_PIECE``-th character, or at the end of the text: every
+    piece but the last has at least ``_PIECE`` characters, and outgrows
+    them only by the word crossing that character.
     """
     start, end = 0, len(text)
     while start < end:

@@ -124,8 +124,9 @@ class Pipeline:
 def normalized(text: str, mode: Mode) -> Iterator[str]:
     """The ``normalize`` of each piece of ``text`` (``normalize.pieces``),
     in order: the one run of the first text stage, for ``Pipeline`` and the
-    ``normalize`` and ``tokenize`` commands alike. Joined by single spaces,
-    the non-empty ones are ``normalize(text, mode)``."""
+    ``normalize`` and ``tokenize`` commands alike. Their ``tokenize``,
+    chained, is that of ``normalize(text, mode)``; spacing ends there, and
+    the ``normalize`` command prints the words joined by single spaces."""
     return (normalize(piece, mode) for piece in pieces(text))
 
 

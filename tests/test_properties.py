@@ -12,6 +12,7 @@ import math
 import tempfile
 import unicodedata
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -364,12 +365,14 @@ def test_normalize_output_is_nfc(text):
 # Word pieces the rules act on (tone marks, NFD sequences, stray marks,
 # "=" + U+0338, a capital sigma, whose lowercase depends on its
 # neighbours, digits, a currency sign, apostrophes, hyphens) and the
-# whitespace that str.split splits on.
+# whitespace that str.split splits on: among it U+1680 and U+3000, which
+# the class of normalize's mark-led word must leave out, and U+2000, which
+# NFC turns into U+2002.
 LOCAL_PIECES = (
     "e\u0300", "U\u0323\u0301", "o\u0323", "\u0300", "\u0323", "\u0338", "=\u0338",
     "Σ", "ΑΣ", "7", "20:30", "₦", "'", "’", "-", "na-", "n’",
 )
-SPLIT_SPACES = (" ", "\t", "\n", "\u00a0", "\u001c", "\u3000")
+SPLIT_SPACES = (" ", "\t", "\n", "\u00a0", "\u001c", "\u1680", "\u2000", "\u3000")
 local_texts = st.lists(
     st.one_of(
         st.sampled_from(LOCAL_PIECES),
@@ -383,13 +386,18 @@ local_texts = st.lists(
 @given(local_texts)
 @example("ΑΣ\u00a0Σa\u3000aΣ")
 @example("a \u0323b\u001c=\u0338\t7a\n₦’s")
+# Combining marks after U+3000, U+1680 and TAB, at a word start each.
+@example("\u3000\u0323")
+@example("a\u1680\u0301\u0323b")
+@example("ụ\t\u0300\u0323lọ\t\u0323")
 @settings(max_examples=500, deadline=None)
 def test_normalize_is_word_local(text):
-    # Normalizing each whitespace word alone and joining the non-empty
-    # results gives the normalized text: text may be cut at whitespace.
+    # Tokenizing each whitespace word's normalized text alone and chaining
+    # the tokens gives the normalized text's tokens: text may be cut at
+    # whitespace.
     for mode in Mode:
-        words = (normalize(word, mode) for word in text.split())
-        assert normalize(text, mode) == " ".join(w for w in words if w)
+        words = (tokenize(normalize(word, mode)) for word in text.split())
+        assert tokenize(normalize(text, mode)) == tuple(chain.from_iterable(words))
 
 
 @st.composite
@@ -448,11 +456,11 @@ def test_pieces_are_exact(text, size):
                 for n in ORDERS:
                     assert bundle.tables[n] == extract_ngrams(kept, n)
                 assert pipeline.features(doc) == match_key_features(kept, pipeline.lexicon)
-                assert _cli_output(src, "normalize", mode) == whole + "\n"
+                assert _cli_output(src, "normalize", mode) == " ".join(tokenize(whole)) + "\n"
                 assert _cli_output(src, "tokenize", mode) == "".join(
                     token + "\n" for token in tokenize(whole)
                 )
-                for command, field, value in (("normalize", "text", whole),
+                for command, field, value in (("normalize", "text", " ".join(tokenize(whole))),
                                               ("tokenize", "tokens", list(tokenize(whole)))):
                     payload = {"doc_id": str(src), field: value}
                     assert _cli_output(src, command, mode, "--format", "json") == (
