@@ -21,7 +21,7 @@ from .errors import (
     PipelineStageError,
 )
 from .ngrams import ORDERS
-from .normalize import Mode, tokenize
+from .normalize import Mode
 from .pipeline import (
     ENCODER,
     Pipeline,
@@ -34,8 +34,8 @@ from .pipeline import (
     interned,
     matrix_to_json,
     matrix_to_tsv,
-    normalized,
     to_json,
+    tokens,
     write_output,
 )
 from .textio import load_corpus
@@ -117,17 +117,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = ORDERS) -> PipelineConfig:
     return PipelineConfig(
         mode=args.mode,
-        stoplist_path=Path(args.stopwords) if args.stopwords else None,
-        lexicon_path=Path(args.lexicon) if getattr(args, "lexicon", None) else None,
+        stoplist_path=args.stopwords,
+        lexicon_path=getattr(args, "lexicon", None),
         orders=orders,
     )
 
 
 def _cmd_normalize(args: argparse.Namespace) -> Iterator[str]:
     doc = load_corpus([args.file])[0]
-    # normalize leaves whitespace as it falls; the command prints each
-    # piece's words (``tokenize``) joined by single spaces.
-    texts = filter(None, map(" ".join, map(tokenize, normalized(doc.text, args.mode))))
+    texts = filter(None, map(" ".join, tokens(doc.text, args.mode)))
     # Each piece as it is made, after the space that joins it to the one before.
     joined = map(str.__add__, chain([""], repeat(" ")), texts)
     if args.format == "json":
@@ -141,10 +139,10 @@ def _cmd_normalize(args: argparse.Namespace) -> Iterator[str]:
 
 def _cmd_tokenize(args: argparse.Namespace) -> Iterator[str]:
     doc = load_corpus([args.file])[0]
-    streams = map(tokenize, normalized(doc.text, args.mode))
+    streams = tokens(doc.text, args.mode)
     if args.format == "json":
         return to_json({"doc_id": doc.id, "tokens": list(interned(streams))})
-    return ("".join(token + "\n" for token in tokens) for tokens in streams)
+    return ("\n".join(words) + "\n" for words in streams if words)
 
 
 def _cmd_represent(args: argparse.Namespace) -> str | Iterator[str]:

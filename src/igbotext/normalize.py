@@ -148,9 +148,7 @@ def fold(text: str) -> str:
 
 
 def normalize(text: str, mode: Mode) -> str:
-    """Normalized NFC text. Its words are ``tokenize``'s tokens; the
-    whitespace between them is left as it falls, since ``tokenize`` is
-    where spacing ends.
+    """Normalized NFC text, whose words are ``tokenize``'s tokens.
 
     Steps, in order: ``fold`` (lowercase, Ụ→ụ included; strip tone marks);
     drop every word containing a digit; delete currency signs and the listed
@@ -184,13 +182,10 @@ def pieces(text: str) -> Iterator[str]:
     """``text`` in consecutive pieces that rejoin to it, each cut right
     after a whitespace character, so that no word is split.
 
-    ``normalize`` is word-local, so ``tokenize`` of the pieces' normalized
-    texts, chained, is the whole text's token stream; spacing ends in
-    ``tokenize``, and the ``normalize`` command prints those tokens joined
-    by single spaces. A piece ends right after the first whitespace at or
-    past its ``_PIECE``-th character, or at the end of the text: every
-    piece but the last has at least ``_PIECE`` characters, and outgrows
-    them only by the word crossing that character.
+    A piece ends right after the first whitespace at or past its
+    ``_PIECE``-th character, or at the end of the text: every piece but
+    the last has at least ``_PIECE`` characters, and outgrows them only by
+    the word crossing that character.
     """
     start, end = 0, len(text)
     while start < end:

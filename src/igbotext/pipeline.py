@@ -7,6 +7,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -39,8 +40,8 @@ DATA = Path(__file__).parent / "data"
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: Mode
-    stoplist_path: Path | None = None
-    lexicon_path: Path | None = None
+    stoplist_path: str | os.PathLike[str] | None = None
+    lexicon_path: str | os.PathLike[str] | None = None
     orders: tuple[int, ...] = ORDERS
 
     def __post_init__(self) -> None:
@@ -87,20 +88,18 @@ class Pipeline:
 
     def __init__(self, cfg: PipelineConfig) -> None:
         self.cfg = cfg
-        self.stoplist = _stage(
-            "load-stoplist", load_stoplist, cfg.stoplist_path or DATA / "stopwords.txt"
-        )
+        self.stoplist = _stage("load-stoplist", load_stoplist, cfg.stoplist_path, "stopwords.txt")
 
     @cached_property
     def lexicon(self) -> list[KeyFeature]:
-        return _stage("load-lexicon", load_lexicon, self.cfg.lexicon_path or DATA / "lexicon.tsv")
+        return _stage("load-lexicon", load_lexicon, self.cfg.lexicon_path, "lexicon.tsv")
 
     def _filtered(self, doc: Document) -> tuple[str, ...]:
         """The document's stop-filtered token stream, made one piece of its
-        text at a time (``normalized``), with one ``str`` per distinct
-        token (``interned``): no whole-text copy is made."""
+        text at a time (``tokens``), with one ``str`` per distinct token
+        (``interned``): no whole-text copy is made."""
         mode, stoplist = self.cfg.mode, self.stoplist
-        kept = (remove_stopwords(tokenize(t), stoplist, mode) for t in normalized(doc.text, mode))
+        kept = (remove_stopwords(t, stoplist, mode) for t in tokens(doc.text, mode))
         # Made straight into a tuple: a list would be copied into it, and
         # both would be alive at once.
         return tuple(interned(kept))
@@ -121,13 +120,15 @@ class Pipeline:
         return match_key_features(self._filtered(doc), lexicon)
 
 
-def normalized(text: str, mode: Mode) -> Iterator[str]:
-    """The ``normalize`` of each piece of ``text`` (``normalize.pieces``),
-    in order: the one run of the first text stage, for ``Pipeline`` and the
-    ``normalize`` and ``tokenize`` commands alike. Their ``tokenize``,
-    chained, is that of ``normalize(text, mode)``; spacing ends there, and
-    the ``normalize`` command prints the words joined by single spaces."""
-    return (normalize(piece, mode) for piece in pieces(text))
+def tokens(text: str, mode: Mode) -> Iterator[tuple[str, ...]]:
+    """The tokens of each piece of ``text`` (``normalize.pieces``), in
+    order: the one composition of ``normalize`` and ``tokenize``, for
+    ``Pipeline`` and the ``normalize`` and ``tokenize`` commands alike.
+    ``normalize`` is word-local and leaves whitespace as it falls, so
+    spacing ends in ``tokenize``: chained, these are
+    ``tokenize(normalize(text, mode))``, and the ``normalize`` command
+    prints them joined by single spaces."""
+    return (tokenize(normalize(piece, mode)) for piece in pieces(text))
 
 
 def interned(streams: Iterable[tuple[str, ...]]) -> Iterator[str]:
@@ -137,10 +138,15 @@ def interned(streams: Iterable[tuple[str, ...]]) -> Iterator[str]:
     return chain.from_iterable(map(seen.setdefault, s, s) for s in streams)
 
 
-def _stage(name, load, path):
+def _stage(name, load, path, shipped):
     """``load`` applied to a data file's text and path: the one place a
-    data file is decoded (``decode_utf8``). An error of the toolkit names
-    the stage."""
+    data file is decoded (``decode_utf8``). The file is ``path``, or the
+    shipped ``DATA / shipped`` when ``path`` is None; an empty path is a
+    missing file. An error of the toolkit names the stage."""
+    if path is None:
+        path = DATA / shipped
+    elif not os.fspath(path):  # Path("") would be ".", the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
     path = Path(path)
     try:
         return load(decode_utf8(path.read_bytes(), str(path)).text, str(path))

@@ -179,6 +179,22 @@ def test_stopwords_is_an_option_only_where_stop_words_are_dropped(tmp_path, caps
         assert "no-such-stopwords.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["represent", DOC1, "--stopwords", ""],
+    ["features", DOC1, "--stopwords", ""],
+    ["features", DOC1, "--lexicon", ""],
+])
+def test_an_empty_data_file_path_is_a_missing_file(tmp_path, capsys, argv):
+    # As with --output "": the shipped file is read only when the option
+    # is absent.
+    from igbotext.cli import main
+
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out)]) == 3
+    assert "No such file or directory: ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_bad_lexicon(tmp_path):
     bad = tmp_path / "lex.tsv"
     bad.write_text("mmiri mmiri\twatery\tNominal\n", encoding="utf-8")

@@ -132,6 +132,13 @@ def test_lexicon_error_names_stage_when_features_run(doc1, tmp_path):
     assert isinstance(err.value.cause, LexiconInvariantError)
 
 
+@pytest.mark.parametrize("field", ["stoplist_path", "lexicon_path"])
+def test_an_empty_data_file_path_is_a_missing_file(doc1, field):
+    # Only None names the shipped file; "" names no file, not "." either.
+    with pytest.raises(FileNotFoundError, match="No such file or directory: ''"):
+        Pipeline(PipelineConfig(mode=Mode.PAPER_GOLDEN, **{field: ""})).features(doc1)
+
+
 def test_mode_isolation(doc1):
     golden = run_pipeline(doc1, PipelineConfig(mode=Mode.PAPER_GOLDEN))
     strict = run_pipeline(doc1, PipelineConfig(mode=Mode.STRICT))

@@ -44,6 +44,7 @@ from igbotext.pipeline import (
     table_to_obj,
     table_to_tsv,
     to_json,
+    tokens,
 )
 from igbotext.textio import Document, decode_utf8
 
@@ -450,6 +451,7 @@ def test_pieces_are_exact(text, size):
             src.write_bytes(text.encode("utf-8"))
             for mode, pipeline in _PIPELINES.items():
                 whole = normalize(text, mode)
+                assert tuple(chain.from_iterable(tokens(text, mode))) == tokenize(whole)
                 kept = remove_stopwords(tokenize(whole), pipeline.stoplist, mode)
                 doc = Document("d", text)
                 bundle = pipeline.represent(doc)
