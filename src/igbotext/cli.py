@@ -8,6 +8,7 @@ invariant error in a data file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Iterator
 from itertools import chain, repeat
@@ -69,6 +70,9 @@ def _parse_orders(value: str) -> tuple[int, ...]:
         raise _CliError(EXIT_USAGE, f"invalid --n value {value!r}") from None
 
 
+# Built on the first call and kept: parse_args leaves the parser as it
+# was, so each call of ``main`` gets a fresh namespace from it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=[m.value for m in Mode], default="paper",

@@ -86,13 +86,9 @@ _PUNCTUATION = ":;?!\"{}+&[]<>/@*=^%,.()" + "“”"  # incl. “ ”
 # strict mode, hyphens) turned into word boundaries.
 _DELETED = re.compile(f"[{re.escape(_CURRENCY + _PUNCTUATION)}]")
 
-# A whitespace-delimited word holding an ASCII digit (numbers, dates,
-# times), with the whitespace before it. Matches start only at
-# whitespace, so the text is searched with a space in front. The
-# lookahead takes the word's digit-free prefix once and is never
-# re-entered, so a word is scanned once; this is the atomic group
-# ``(?>[^\s0-9]*)`` spelled for Python 3.10.
-_DIGIT_WORD = re.compile(r"\s(?=([^\s0-9]*))\1[0-9]\S*")
+# The two scans of the digit rule (``normalize``).
+_DIGIT_TAIL = re.compile(r"[0-9]\S*")
+_DIGIT_HEAD = re.compile(r"0\S*")
 
 # A word that starts with a combining mark (general category Mn, Mc or
 # Me): the mark was cut off from its letter, or stood alone. The class of
@@ -151,15 +147,23 @@ def normalize(text: str, mode: Mode) -> str:
     """Normalized NFC text, whose words are ``tokenize``'s tokens.
 
     Steps, in order: ``fold`` (lowercase, Ụ→ụ included; strip tone marks);
-    drop every word containing a digit; delete currency signs and the listed
-    punctuation; turn apostrophes (and, in strict mode, hyphens) into
-    word boundaries; recompose; drop the combining marks that start a
-    word. Words emptied by deletion vanish, and so do words of marks alone.
+    drop every word containing an ASCII digit; delete currency signs and
+    the listed punctuation; turn apostrophes (and, in strict mode,
+    hyphens) into word boundaries; recompose; drop the combining marks
+    that start a word. Words emptied by deletion vanish, and so do words
+    of marks alone.
     """
-    # A digit word goes with the whitespace before it, which a space
-    # replaces. Matches start at whitespace, so the text is given a space
-    # in front; its first character is a space either way, and goes.
-    text = _DIGIT_WORD.sub(" ", " " + fold(text))[1:]
+    # A word holding an ASCII digit is dropped in two scans. Each pattern
+    # starts with a digit, so a C scan finds every match start and no
+    # match is tried at every word. The first turns each word's tail,
+    # from its first ASCII digit to its end, into the marker "0". "0" is
+    # a safe marker: every ASCII digit was in some tail, so each "0" left
+    # is a marker, and it is the last character of its word. In the
+    # reversed text the second scan finds each marker as the first
+    # character of its word and removes it with the rest of that word,
+    # the word's reversed head. Whitespace stays where it was.
+    text = _DIGIT_TAIL.sub("0", fold(text))
+    text = _DIGIT_HEAD.sub("", text[::-1])[::-1]
     text = _DELETED.sub("", text)
     for boundary in _RULES[mode][0]:
         text = text.replace(boundary, " ")

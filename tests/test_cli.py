@@ -195,6 +195,26 @@ def test_an_empty_data_file_path_is_a_missing_file(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_main_calls_in_one_process_are_independent(tmp_path):
+    # The parser is built once per process; no call's options may reach
+    # the next call.
+    from igbotext.cli import main
+
+    stop = tmp_path / "stop.txt"
+    stop.write_text("nkuziie\n", encoding="utf-8")
+    narrowed, last, fresh = tmp_path / "narrowed", tmp_path / "last", tmp_path / "fresh"
+    assert main(["represent", DOC1, "--n", "7"]) == 1
+    assert main(["represent", DOC1, "--n", "2", "--stopwords", str(stop),
+                 "--output", str(narrowed)]) == 0
+    assert main(["represent", DOC1, "--output", str(last)]) == 0
+    assert run_cli("represent", DOC1, "--output", str(fresh)).returncode == 0
+    assert narrowed.read_text(encoding="utf-8").count("\n\n") == 0
+    assert last.read_bytes() == fresh.read_bytes()
+    text = last.read_text(encoding="utf-8")
+    assert text.count("\n\n") == 2  # three tables
+    assert text.startswith("nkuziie\t4\n")  # the shipped stop list
+
+
 def test_exit_code_bad_lexicon(tmp_path):
     bad = tmp_path / "lex.tsv"
     bad.write_text("mmiri mmiri\twatery\tNominal\n", encoding="utf-8")

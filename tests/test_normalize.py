@@ -150,6 +150,9 @@ def test_digit_rule_is_linear_in_word_length():
     start = time.perf_counter()
     assert normalize(word, GOLDEN) == word
     assert normalize(word + "1", GOLDEN) == ""
+    assert normalize("1" + word, GOLDEN) == ""
+    # 100 000 one-digit words: one match per word in each scan.
+    assert tokenize(normalize("7 " * 100_000, GOLDEN)) == ()
     assert time.perf_counter() - start < 5.0
 
 

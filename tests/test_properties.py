@@ -492,6 +492,31 @@ def test_tables_match_word_by_word_reference(text):
             assert bundle.tables[n].total_windows == max(0, len(kept) - n + 1)
 
 
+# Every character str.isspace accepts (U+1680, U+3000, U+2028, \x1c-\x1f
+# and \x85 among them), two combining marks, the ASCII digits 0 (the
+# digit rule's own marker) and 1, two non-ASCII digits that must not
+# trigger the rule, and letters.
+DIGIT_RULE_ALPHABET = (
+    "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+    + "\u0323\u0300" + "01" + "٣²" + "abụ"
+)
+
+
+@given(st.text(alphabet=DIGIT_RULE_ALPHABET, max_size=40))
+@example("0")
+@example("a0 b")
+@example("0a")
+@example("ụ̀0")
+@example("x\u30000 y")
+@example("1a b\u2028c 0")  # a digit word at the start and at the end
+@example("٣ ²a b1\x85\u0323a1")
+@settings(max_examples=500, deadline=None)
+def test_digit_rule_matches_the_reference(text):
+    for mode in Mode:
+        expected = tuple(reference_tokens(text, mode is Mode.STRICT))
+        assert tokenize(normalize(text, mode)) == expected
+
+
 # Words for small corpora: a handful of plain words (so counts tie often),
 # their tone-marked and NFD spellings, stop words, clitic and hyphen forms,
 # and words the digit rule drops.

@@ -3,6 +3,10 @@
 These checks run on any newer interpreter: every module must parse as
 3.10 syntax, and no module-level regular expression may use an atomic
 group or a possessive quantifier, which ``re`` accepts only from 3.11.
+Every module must also compile with no warning on the running
+interpreter: an invalid escape in a string, such as a regex pattern
+missing its ``r`` prefix, warns at compile time (a DeprecationWarning,
+and from Python 3.12 on a SyntaxWarning).
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -24,6 +29,13 @@ NEWER_OPCODES = {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}
 def test_every_module_parses_as_the_floor_version():
     for path in sorted(PACKAGE.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=FLOOR)
+
+
+def test_every_module_compiles_without_warnings():
+    for path in sorted(PACKAGE.glob("*.py")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
 def _opcodes(parsed) -> set[str]:
