@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections.abc import Iterator
 from itertools import chain, repeat
@@ -160,7 +161,9 @@ def _cmd_matrix(args: argparse.Namespace) -> str | Iterator[str]:
     root = Path(args.dir)
     if not root.is_dir():
         raise _CliError(EXIT_IO, f"not a directory: {root}")
-    paths = sorted(path for path in root.glob("*.txt") if path.is_file())
+    # Listed as given: "" names no directory, though ``root`` is ".".
+    with os.scandir(args.dir) as entries:
+        paths = sorted(root / e.name for e in entries if e.name.endswith(".txt") and e.is_file())
     pipeline = Pipeline(_pipeline_config(args, (args.n,)))
     bundles = [pipeline.represent(doc) for doc in load_corpus(list(paths))]
     matrix = build_doc_term_matrix(bundles, args.n)

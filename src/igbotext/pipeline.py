@@ -7,7 +7,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import sys
@@ -25,10 +24,7 @@ from .ngrams import (
     ORDERS, NGram, NGramTable, count_runs, extract_ngrams, is_order, is_whole, rank_features
 )
 from .normalize import Mode, load_stoplist, normalize, pieces, remove_stopwords, tokenize
-from .textio import Document, decode_utf8
-
-# The largest piece written in one call (see write_output).
-STDOUT_CHUNK = 1 << 16
+from .textio import Document, read_document
 
 # The layout of every JSON output: indent 2, characters as they are.
 ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
@@ -139,17 +135,12 @@ def interned(streams: Iterable[tuple[str, ...]]) -> Iterator[str]:
 
 
 def _stage(name, load, path, shipped):
-    """``load`` applied to a data file's text and path: the one place a
-    data file is decoded (``decode_utf8``). The file is ``path``, or the
-    shipped ``DATA / shipped`` when ``path`` is None; an empty path is a
-    missing file. An error of the toolkit names the stage."""
-    if path is None:
-        path = DATA / shipped
-    elif not os.fspath(path):  # Path("") would be ".", the working directory
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
-    path = Path(path)
+    """``load`` applied to the text and name of a data file, read by
+    ``read_document``: ``path``, or the shipped ``DATA / shipped`` when
+    ``path`` is None. An error of the toolkit names the stage."""
     try:
-        return load(decode_utf8(path.read_bytes(), str(path)).text, str(path))
+        doc = read_document(DATA / shipped if path is None else path)
+        return load(doc.text, doc.id)
     except IgboTextError as exc:
         raise PipelineStageError(name, exc) from exc
 
@@ -388,22 +379,23 @@ def write_output(
     """Write the UTF-8 bytes of ``text`` to a file, or to stdout when
     destination is None, whatever stdout's own encoding. A stdout with no
     ``buffer``, such as an ``io.StringIO`` put in its place, is written
-    the strings themselves.
+    each string itself, once.
 
     ``text`` is one string or an iterable of strings written as they are
-    made, so that only one is alive at a time. Each goes out in pieces of
-    at most ``STDOUT_CHUNK`` characters, so that a closed pipe raises
-    BrokenPipeError instead of truncating the output silently.
+    made, so that only one is alive at a time. Each string's bytes are
+    written until all are taken: a pipe whose reader went away takes part
+    of a write with no error, and the next write raises BrokenPipeError.
     """
     chunks = [text] if isinstance(text, str) else text
     stdout = getattr(sys.stdout, "buffer", sys.stdout)
-    encode = str if destination is None and stdout is sys.stdout else str.encode  # UTF-8
     sink = nullcontext(stdout) if destination is None else open(destination, "wb")
     with sink as fh:
-        for chunk in chunks:
-            if len(chunk) <= STDOUT_CHUNK:  # most are; slicing each costs more than writing it
-                fh.write(encode(chunk))
-                continue
-            for start in range(0, len(chunk), STDOUT_CHUNK):
-                fh.write(encode(chunk[start:start + STDOUT_CHUNK]))
+        if fh is sys.stdout:
+            for chunk in chunks:
+                fh.write(chunk)
+        else:
+            for data in map(str.encode, chunks):  # UTF-8
+                written = fh.write(data)
+                while written < len(data):
+                    written += fh.write(memoryview(data)[written:])
         fh.flush()

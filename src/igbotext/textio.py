@@ -40,8 +40,15 @@ def decode_utf8(data: bytes, source_id: str) -> Document:
     return Document(id=source_id, text=text)
 
 
+def read_document(path: str | os.PathLike[str]) -> Document:
+    """The file at ``path``, opened as given (so "" names no file, where
+    ``Path("")`` is "."), decoded as a Document named ``str(Path(path))``."""
+    with open(path, "rb") as fh:
+        return decode_utf8(fh.read(), str(Path(path)))
+
+
 def load_corpus(paths: list[str | os.PathLike[str]]) -> list[Document]:
-    """Load one Document per path, in input order.
+    """Load one Document per path (``read_document``), in input order.
 
     Unreadable paths raise OSError naming the path; invalid UTF-8 raises
     DecodeError naming the path. A file name that is not valid UTF-8 or
@@ -49,13 +56,11 @@ def load_corpus(paths: list[str | os.PathLike[str]]) -> list[Document]:
     """
     docs: list[Document] = []
     seen: set[str] = set()
-    for path in map(Path, paths):
-        name = str(path)
+    for doc in map(read_document, paths):
         try:
-            name.encode("utf-8")
+            doc.id.encode("utf-8")
         except UnicodeEncodeError:
-            raise ValueError(f"file name {name!r} is not valid UTF-8") from None
-        doc = decode_utf8(path.read_bytes(), name)
+            raise ValueError(f"file name {doc.id!r} is not valid UTF-8") from None
         if doc.id in seen:
             raise ValueError(f"duplicate document id {doc.id!r} in corpus")
         seen.add(doc.id)

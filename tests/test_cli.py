@@ -183,10 +183,15 @@ def test_stopwords_is_an_option_only_where_stop_words_are_dropped(tmp_path, caps
     ["represent", DOC1, "--stopwords", ""],
     ["features", DOC1, "--stopwords", ""],
     ["features", DOC1, "--lexicon", ""],
+    ["normalize", ""],
+    ["tokenize", ""],
+    ["represent", ""],
+    ["features", ""],
+    ["matrix", ""],
 ])
 def test_an_empty_data_file_path_is_a_missing_file(tmp_path, capsys, argv):
     # As with --output "": the shipped file is read only when the option
-    # is absent.
+    # is absent, and an empty <file> or <dir> is not the working directory.
     from igbotext.cli import main
 
     out = tmp_path / "out"
@@ -392,8 +397,16 @@ def test_four_word_lexicon_phrase_is_a_data_error(tmp_path):
     assert "got 4" in proc.stderr
 
 
-@pytest.mark.parametrize("command", ["normalize", "tokenize", "represent"])
-def test_closed_pipe_is_reported(tmp_path, command):
+@pytest.mark.parametrize("argv", [
+    ["normalize", "{}/big.txt"],
+    ["tokenize", "{}/big.txt"],
+    ["represent", "{}/big.txt"],
+    # 45,000 characters (117,000 bytes) of TSV made as one string: more
+    # than a pipe buffers, in one write that the pipe may take in part.
+    ["represent", "{}/dotted.txt", "--n", "1"],
+    ["matrix", "{}/corpus"],
+], ids=["normalize", "tokenize", "represent", "represent-one-write", "matrix"])
+def test_closed_pipe_is_reported(tmp_path, argv):
     # About 300 KB of distinct words: far more output than a pipe buffers,
     # so the writer is still writing when the reader goes away.
     letters = "abcdefghijklmnoprstuwyz"
@@ -401,10 +414,14 @@ def test_closed_pipe_is_reported(tmp_path, command):
         "".join(letters[(i // len(letters) ** k) % len(letters)] for k in range(4)) + "ka"
         for i in range(50_000)
     )
-    doc = tmp_path / "big.txt"
-    doc.write_text(" ".join(words), encoding="utf-8")
+    text = " ".join(words)
+    (tmp_path / "big.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "big.txt").write_text(text, encoding="utf-8")
+    dotted = ("".join("ịọụṅ"[(i >> 2 * k) & 3] for k in range(12)) for i in range(3_000))
+    (tmp_path / "dotted.txt").write_text(" ".join(dotted), encoding="utf-8")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "igbotext", command, str(doc)],
+        [sys.executable, "-m", "igbotext", *(arg.format(tmp_path) for arg in argv)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )

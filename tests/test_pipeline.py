@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -17,6 +18,7 @@ from igbotext import (
     Pipeline,
     PipelineStageError,
     bundle_from_json,
+    load_corpus,
     run_pipeline,
 )
 from igbotext.ngrams import NGramTable, extract_ngrams
@@ -132,11 +134,15 @@ def test_lexicon_error_names_stage_when_features_run(doc1, tmp_path):
     assert isinstance(err.value.cause, LexiconInvariantError)
 
 
-@pytest.mark.parametrize("field", ["stoplist_path", "lexicon_path"])
-def test_an_empty_data_file_path_is_a_missing_file(doc1, field):
+@pytest.mark.parametrize("load", [
+    lambda doc1: Pipeline(PipelineConfig(mode=Mode.PAPER_GOLDEN, stoplist_path="")),
+    lambda doc1: Pipeline(PipelineConfig(mode=Mode.PAPER_GOLDEN, lexicon_path="")).features(doc1),
+    lambda doc1: load_corpus([""]),
+], ids=["stoplist_path", "lexicon_path", "load_corpus"])
+def test_an_empty_data_file_path_is_a_missing_file(doc1, load):
     # Only None names the shipped file; "" names no file, not "." either.
     with pytest.raises(FileNotFoundError, match="No such file or directory: ''"):
-        Pipeline(PipelineConfig(mode=Mode.PAPER_GOLDEN, **{field: ""})).features(doc1)
+        load(doc1)
 
 
 def test_mode_isolation(doc1):
@@ -327,6 +333,46 @@ def test_matrix_json_write_stays_sparse(tmp_path):
     assert len(payload["cells"]) == 400
     assert len(payload["cells"][1]) == len(payload["features"]) == 4000
     assert sum(payload["cells"][1]) == 19
+
+
+def test_a_stdout_with_no_buffer_is_written_each_piece_once(monkeypatch):
+    # A text stream whose write returns None, as an in-process caller may
+    # put in stdout's place: each piece goes to it once, as it is made.
+    written = []
+
+    class Text:
+        def write(self, piece):
+            written.append(piece)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Text())
+    pieces = ["a\t1\n", "ị" * 70_000, "", "b\n"]
+    write_output(iter(pieces), None)
+    assert written == pieces
+
+
+def test_a_short_write_is_retried_until_every_byte_is_taken(monkeypatch):
+    # A binary stdout that takes at most 1,000 bytes a write and says so,
+    # as a pipe whose reader went away may take part of one.
+    taken = bytearray()
+
+    class Binary:
+        def write(self, data):
+            taken.extend(data[:1000])
+            return len(data[:1000])
+
+        def flush(self):
+            pass
+
+    class Text:
+        buffer = Binary()
+
+    monkeypatch.setattr(sys, "stdout", Text())
+    text = "ị" * 70_000
+    write_output(text, None)
+    assert taken == text.encode("utf-8")
 
 
 def test_matrix_order_mismatch(doc1):
