@@ -6,9 +6,10 @@ padding or boundary symbols. Probabilities are raw MLE ratios computed on
 demand from integer counts; there is no smoothing, so unseen events are
 probability zero and unseen contexts are errors.
 
-Every output is in the rank order stated at ``rank_rows``, in one of two
-forms: ``rank_rows`` for rows that carry their joined gram (table JSON,
-matrix axis, features), ``count_runs`` for bare joined grams (table TSV).
+Every output is in the rank order stated at ``rank_rows``, in one of three
+forms: ``rank_rows`` for lexicon rows that carry their joined gram (the
+feature list), ``rank_features`` for ``(gram, count)`` pairs (table JSON,
+matrix axis), ``count_runs`` for bare joined grams (table TSV).
 """
 
 from __future__ import annotations
@@ -106,8 +107,7 @@ def rank_rows(rows: list[Row]) -> list[Row]:
     the NFC form of the space-joined gram; rows equal on both keep their
     order. Every key is a ``str`` or an ``int``, so neither sort compares
     tuples. The caller makes the joined gram once, for both the sort and
-    its output: the table JSON and the matrix axis (``rank_features``) and
-    the feature list (``lexicon.match_key_features``).
+    its output: the feature list (``lexicon.match_key_features``).
     """
     rows.sort(key=_nfc_gram)
     rows.sort(key=itemgetter(1), reverse=True)  # stable, reversed or not
@@ -116,9 +116,18 @@ def rank_rows(rows: list[Row]) -> list[Row]:
 
 def rank_features(counts: Mapping[NGram, int]) -> list[tuple[NGram, int]]:
     """Every ``(gram, count)`` of a count mapping, such as a table's
-    ``counts``, in rank order (see ``rank_rows``)."""
-    rows = rank_rows([(" ".join(gram), count, gram) for gram, count in counts.items()])
-    return [(gram, count) for _, count, gram in rows]
+    ``counts``, in rank order (see ``rank_rows``): a stable sort of the
+    items by count, then in each run of equal counts a stable sort of
+    indices by the NFC keys of the joined grams. Every step per gram is a
+    C callable, and the items are the pairs returned."""
+    nfc = partial(unicodedata.normalize, "NFC")
+    gram, count = itemgetter(0), itemgetter(1)
+    ranked: list[tuple[NGram, int]] = []
+    for _, run in groupby(sorted(counts.items(), key=count, reverse=True), key=count):
+        run = list(run)
+        keys = list(map(nfc, map(" ".join, map(gram, run))))
+        ranked += map(run.__getitem__, sorted(range(len(run)), key=keys.__getitem__))
+    return ranked
 
 
 def count_runs(counts: Mapping[NGram, int]) -> Iterator[tuple[int, list[str]]]:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import Counter
+from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, not_
 from pathlib import Path
 
 from .errors import IgboTextError, InvalidOrderError, OrderMismatchError, PipelineStageError
@@ -158,16 +159,16 @@ def build_doc_term_matrix(bundles: Iterable[RepresentationBundle], n: int) -> Do
     the columns sum to those corpus counts.
     """
     bundles = list(bundles)  # read three times below; a generator only once
-    vocabulary: Counter[NGram] = Counter()
+    vocabulary: dict[NGram, int] = {}
     for b in bundles:
         if n not in b.tables:
             raise OrderMismatchError(n, min(b.tables, default=0))
-        vocabulary.update(b.tables[n].counts)
-    features = tuple(gram for gram, _ in rank_features(vocabulary))
-    index = {gram: j for j, gram in enumerate(features)}
-    rows = tuple(
-        {index[gram]: count for gram, count in b.tables[n].counts.items()} for b in bundles
-    )
+        t = b.tables[n].counts  # summed into the corpus counts in C, not per gram
+        vocabulary.update(zip(t, map(add, map(vocabulary.get, t, repeat(0)), t.values())))
+    features = tuple(map(itemgetter(0), rank_features(vocabulary)))
+    index = dict(zip(features, range(len(features))))
+    tables = (b.tables[n].counts for b in bundles)
+    rows = tuple(dict(zip(map(index.__getitem__, t), t.values())) for t in tables)
     return DocTermMatrix(
         n=n,
         doc_ids=tuple(b.doc_id for b in bundles),
@@ -285,24 +286,32 @@ def _dense_rows(
     """One line per document: its head, ``sep + count`` for every feature,
     then ``tail``, with the first ``skip`` characters after the head left out.
 
-    Every row is cut from one line of zeros, ``(sep + "0") * len(features)``,
-    in which cell j is one character at ``j * (len(sep) + 1) + len(sep)``.
-    The row's counts go in at its non-zero cells, so the work per row grows
-    with those cells, not with the number of features.
+    Each row is a byte copy of one line of zeros, in which cell j is the
+    byte at ``at[j]``, with the digit of each count from 0 to 9 written
+    there by C ``map``s: no Python code runs per cell. A count outside 0-9
+    is spliced in as ``str(count)`` once the row is decoded, so the
+    Python work of a row grows only with those cells.
     """
-    line = (sep + "0") * len(m.features)
-    lead = len(sep)
-    width = lead + 1
+    lead = len(sep)  # ASCII, as is the whole line: a byte is a character
+    zeros = (((sep + "0") * len(m.features))[skip:] + tail).encode()
+    at = list(range(lead - skip, len(m.features) * (lead + 1), lead + 1))
+    digit = dict(zip(range(10), b"0123456789"))
     for head, row in zip(heads, m.rows):
-        pieces = [head]
-        start = skip
-        for j in sorted(row):
-            cut = j * width + lead
-            pieces.append(line[start:cut])
-            pieces.append(str(row[j]))
-            start = cut + 1
+        cells, values = bytearray(zeros), row.values()
+        wide: list[tuple[int, int]] = []
+        try:
+            deque(map(cells.__setitem__, map(at.__getitem__, row),
+                      map(digit.__getitem__, values)), maxlen=0)
+        except KeyError:  # a count outside 0-9 keeps its 0 here, spliced over below
+            deque(map(cells.__setitem__, map(at.__getitem__, row),
+                      map(digit.get, values, repeat(digit[0]))), maxlen=0)
+            wide = sorted(compress(row.items(), map(not_, map(digit.__contains__, values))))
+        line = cells.decode()
+        pieces, start = [head], 0
+        for j, count in wide:
+            pieces += line[start:at[j]], str(count)
+            start = at[j] + 1
         pieces.append(line[start:])
-        pieces.append(tail)
         yield "".join(pieces)
 
 
@@ -315,9 +324,9 @@ def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
     """TSV lines, made one at a time: a header, then one row per document.
 
     Every line is ``doc_id`` or a document id followed by ``<TAB>value``
-    per feature. Each row is cut from one line of zeros (``_dense_rows``),
-    so only one dense row exists at a time and its work follows its
-    non-zero cells. An empty matrix yields nothing.
+    per feature. Each row is a patched copy of one line of zeros
+    (``_dense_rows``), so only one dense row exists at a time. An empty
+    matrix yields nothing.
 
     A document id holding a TAB or a line break (any character at which
     ``str.splitlines`` breaks) would break its row, so it is a ValueError
@@ -331,7 +340,7 @@ def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
             )
     if not m.doc_ids and not m.features:
         return iter(())
-    header = "\t".join(["doc_id", *(" ".join(gram) for gram in m.features)]) + "\n"
+    header = "\t".join(chain(["doc_id"], map(" ".join, m.features))) + "\n"
     return chain([header], _dense_rows(m, m.doc_ids, "\t", "\n"))
 
 
@@ -340,8 +349,8 @@ def matrix_to_json(m: DocTermMatrix) -> Iterator[str]:
     one dense row at a time.
 
     ``ENCODER`` lays out the rest; ``cells[i]`` is document i's dense row.
-    Like a TSV row, it is cut from one line of zeros, ``",\\n      0"`` per
-    feature (``_dense_rows``), whose first comma gives way to the row's ``[``.
+    Like a TSV row, it is a patched copy of one line of zeros (``_dense_rows``),
+    ``",\\n      0"`` per feature, whose first comma gives way to the row's ``[``.
     """
     head = {"n": m.n, "docs": m.doc_ids, "features": m.features}
     yield ENCODER.encode(head)[:-2]  # up to its closing "\n}"

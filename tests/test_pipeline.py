@@ -41,6 +41,7 @@ from golden_doc1 import (
     GOLDEN_UNIGRAMS,
     STRICT_UNIGRAMS,
 )
+from reference_pipeline import reference_matrix_json, reference_matrix_tsv
 
 
 def test_run_pipeline_reproduces_golden_tables(doc1):
@@ -535,6 +536,20 @@ def test_matrix_serialization(doc1, golden_pipeline):
     assert len(lines) == 2
     assert "".join(matrix_to_json(matrix)).endswith("\n")
     assert "".join(matrix_to_tsv(build_doc_term_matrix([], 1))) == ""
+
+
+def test_matrix_rows_write_every_count_as_its_str():
+    # Counts of 0-9 are written as one byte into a copy of the zero line;
+    # any other count is spliced in whole, wherever it falls in the row.
+    features = (("a",), ("b", "c"), ("ụ",), ("d",), ("e",))
+    cells = [[0, 9, 10, 10**12, -1], [10, 9, 0, 0, 1], [-1, 0, 0, 0, 10**12], [0] * 5]
+    rows = tuple({j: count for j, count in enumerate(row) if count} for row in cells)
+    # An explicit 0 at a cell renders as an absent one.
+    m = DocTermMatrix(n=1, doc_ids=("x", "ý", "z", "w"), features=features,
+                      rows=({0: 0, **rows[0]}, *rows[1:]))
+    args = (["x", "ý", "z", "w"], features, cells)
+    assert "".join(matrix_to_tsv(m)) == reference_matrix_tsv(*args)
+    assert "".join(matrix_to_json(m)) == reference_matrix_json(1, *args)
 
 
 # TAB and every character at which str.splitlines breaks a line.

@@ -41,6 +41,8 @@ from igbotext.pipeline import (
     bundle_from_json,
     bundle_to_json,
     bundle_to_tsv,
+    matrix_to_json,
+    matrix_to_tsv,
     table_to_obj,
     table_to_tsv,
     to_json,
@@ -539,12 +541,17 @@ def matrix_corpora(draw):
 
 @given(matrix_corpora(), st.sampled_from((1, 2, 3)), st.sampled_from(("paper", "strict")))
 @settings(max_examples=150, deadline=None)
-# Rows are cut from one line of zeros at their non-zero cells, so counts
-# wider than one character are pinned here: 10 and 100 or more in the
-# first and the last feature column, next to a row of zeros; then one
+# Rows are copies of one line of zeros with each count of 0-9 written in
+# as one byte and any wider count spliced in, so these are pinned: 10 and
+# 100 or more in the first and the last feature column, next to a row of
+# zeros; a 9 next to a 10; a row non-zero in every column; a wide count in
+# the first cell, where a JSON row's leading comma is cut; then one
 # feature, and no feature at all.
 @example(["ocha " * 10 + "komputa " * 100, "ocha " * 110, "na"], 1, "paper")
 @example(["komputa nkunaka " * 101, "komputa nkunaka " * 10, "na ahụ"], 2, "strict")
+@example(["komputa " * 10 + "ocha " * 9 + "nkunaka", "ocha"], 1, "paper")
+@example(["ocha komputa nkunaka ụlọ", "ocha ocha"], 1, "strict")
+@example(["akwụkwọ " * 12 + "ocha", "ocha akwụkwọ"], 1, "paper")
 @example(["komputa", "na", "komputa komputa"], 1, "paper")
 @example(["na ya", ""], 2, "paper")
 def test_matrix_output_matches_dense_reference(texts, n, mode):
@@ -615,6 +622,27 @@ def _assert_table_outputs_rank_as(n, table, expected):
     assert table_to_obj(RepresentationBundle("d", {n: table}), n)["entries"] == [
         {"gram": list(gram), "count": count} for gram, count in expected
     ]
+    # The table split over two and over three documents: the matrix axis
+    # ranks the summed counts, and the rows render every count, up to the
+    # widest, as the dense reference does.
+    for k in (2, 3):
+        shares = [_share(table.counts, k, i) for i in range(k)]
+        dense = reference_matrix([(f"d{i}", share) for i, share in enumerate(shares)])
+        bundles = [
+            RepresentationBundle(f"d{i}", {n: NGramTable(share, sum(share.values()))})
+            for i, share in enumerate(shares)
+        ]
+        m = build_doc_term_matrix(bundles, n)
+        assert m.features == tuple(dense[1]) == tuple(gram for gram, _ in expected)
+        assert "".join(matrix_to_tsv(m)) == reference_matrix_tsv(*dense)
+        assert "".join(matrix_to_json(m)) == reference_matrix_json(n, *dense)
+
+
+def _share(counts, k, i):
+    """Document i's share of ``counts`` split over k documents: the shares
+    of each gram sum to its count, and a share of 0 is left out."""
+    shares = {gram: count // k + (i < count % k) for gram, count in counts.items()}
+    return {gram: share for gram, share in shares.items() if share}
 
 
 def wide_counts(shared):
