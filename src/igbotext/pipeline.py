@@ -65,14 +65,14 @@ class RepresentationBundle:
 class DocTermMatrix:
     """Documents × n-gram features, stored sparse.
 
-    ``rows[i]`` maps feature index j to document i's count of
-    ``features[j]``; features a document lacks have no entry.
+    ``rows[i]`` maps each gram of document i to its count, features it
+    lacks having no entry: its bundle's own order-n ``counts``, not a copy.
     """
 
     n: int
     doc_ids: tuple[str, ...]
     features: tuple[NGram, ...]
-    rows: tuple[dict[int, int], ...]
+    rows: tuple[Mapping[NGram, int], ...]
 
 
 class Pipeline:
@@ -155,8 +155,8 @@ def build_doc_term_matrix(bundles: Iterable[RepresentationBundle], n: int) -> Do
     """Corpus matrix: the feature axis is the documents' order-n counts,
     summed over the corpus, in rank order (``rank_features``).
 
-    Row i maps feature index j to document i's count of feature j, so
-    the columns sum to those corpus counts.
+    Row i is document i's order-n ``counts`` itself, keyed by gram: no
+    count is copied, and the columns sum to those corpus counts.
     """
     bundles = list(bundles)  # read three times below; a generator only once
     vocabulary: dict[NGram, int] = {}
@@ -165,15 +165,11 @@ def build_doc_term_matrix(bundles: Iterable[RepresentationBundle], n: int) -> Do
             raise OrderMismatchError(n, min(b.tables, default=0))
         t = b.tables[n].counts  # summed into the corpus counts in C, not per gram
         vocabulary.update(zip(t, map(add, map(vocabulary.get, t, repeat(0)), t.values())))
-    features = tuple(map(itemgetter(0), rank_features(vocabulary)))
-    index = dict(zip(features, range(len(features))))
-    tables = (b.tables[n].counts for b in bundles)
-    rows = tuple(dict(zip(map(index.__getitem__, t), t.values())) for t in tables)
     return DocTermMatrix(
         n=n,
         doc_ids=tuple(b.doc_id for b in bundles),
-        features=features,
-        rows=rows,
+        features=tuple(map(itemgetter(0), rank_features(vocabulary))),
+        rows=tuple(b.tables[n].counts for b in bundles),
     )
 
 
@@ -286,15 +282,15 @@ def _dense_rows(
     """One line per document: its head, ``sep + count`` for every feature,
     then ``tail``, with the first ``skip`` characters after the head left out.
 
-    Each row is a byte copy of one line of zeros, in which cell j is the
-    byte at ``at[j]``, with the digit of each count from 0 to 9 written
-    there by C ``map``s: no Python code runs per cell. A count outside 0-9
-    is spliced in as ``str(count)`` once the row is decoded, so the
-    Python work of a row grows only with those cells.
+    Each row is a byte copy of one line of zeros, in which gram g's cell
+    is the byte at ``at[g]``, with the digit of each count from 0 to 9
+    written there by C ``map``s: no Python code runs per cell. A count
+    outside 0-9 is spliced in as ``str(count)``, in cell order, once the
+    row is decoded, so the Python work of a row grows only with those cells.
     """
     lead = len(sep)  # ASCII, as is the whole line: a byte is a character
     zeros = (((sep + "0") * len(m.features))[skip:] + tail).encode()
-    at = list(range(lead - skip, len(m.features) * (lead + 1), lead + 1))
+    at = dict(zip(m.features, range(lead - skip, len(m.features) * (lead + 1), lead + 1)))
     digit = dict(zip(range(10), b"0123456789"))
     for head, row in zip(heads, m.rows):
         cells, values = bytearray(zeros), row.values()
@@ -305,12 +301,13 @@ def _dense_rows(
         except KeyError:  # a count outside 0-9 keeps its 0 here, spliced over below
             deque(map(cells.__setitem__, map(at.__getitem__, row),
                       map(digit.get, values, repeat(digit[0]))), maxlen=0)
-            wide = sorted(compress(row.items(), map(not_, map(digit.__contains__, values))))
+            wide = sorted(compress(zip(map(at.__getitem__, row), values),
+                                   map(not_, map(digit.__contains__, values))))
         line = cells.decode()
         pieces, start = [head], 0
-        for j, count in wide:
-            pieces += line[start:at[j]], str(count)
-            start = at[j] + 1
+        for cell, count in wide:
+            pieces += line[start:cell], str(count)
+            start = cell + 1
         pieces.append(line[start:])
         yield "".join(pieces)
 

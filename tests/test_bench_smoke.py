@@ -64,5 +64,6 @@ def test_matrix_small_corpus(benchmark, doc1, golden_pipeline):
     sums = Counter()
     for row in matrix.rows:
         sums.update(row)
-    assert [sums[j] for j in range(len(matrix.features))] == [count for _, count in ranked]
+    assert len(sums) == len(matrix.features)
+    assert [sums[gram] for gram in matrix.features] == [count for _, count in ranked]
     assert len(tsv.splitlines()) == 1 + len(bundles)

@@ -163,7 +163,8 @@ def _column_sums(matrix):
     sums = Counter()
     for row in matrix.rows:
         sums.update(row)
-    return {matrix.features[j]: count for j, count in sums.items()}
+    assert set(sums) <= set(matrix.features)
+    return dict(sums)
 
 
 def test_merge_counts_add():

@@ -291,8 +291,19 @@ def test_matrix_column_sums_equal_merged_counts(doc1, golden_pipeline):
     for row in matrix.rows:
         sums.update(row)
     assert len(matrix.features) == len(merged)
-    for j, gram in enumerate(matrix.features):
-        assert sums[j] == merged[gram]
+    assert set(matrix.features) == set(merged)
+    assert sums == merged
+
+
+def test_matrix_rows_are_the_bundles_own_tables(doc1, golden_pipeline):
+    # The matrix keeps no copy of the counts: row i is document i's table.
+    docs = [doc1, Document("other", "komputa nkunaka ocha"), Document("empty", "")]
+    bundles = [golden_pipeline.represent(d) for d in docs]
+    for n in (1, 2, 3):
+        matrix = build_doc_term_matrix(bundles, n)
+        assert len(matrix.rows) == len(bundles)
+        for row, b in zip(matrix.rows, bundles):
+            assert row is b.tables[n].counts
 
 
 def _disjoint_bundles() -> list[RepresentationBundle]:
@@ -540,13 +551,14 @@ def test_matrix_serialization(doc1, golden_pipeline):
 
 def test_matrix_rows_write_every_count_as_its_str():
     # Counts of 0-9 are written as one byte into a copy of the zero line;
-    # any other count is spliced in whole, wherever it falls in the row.
+    # any other count is spliced in whole, wherever it falls in the row,
+    # and in cell order whatever order the row lists its grams in.
     features = (("a",), ("b", "c"), ("ụ",), ("d",), ("e",))
     cells = [[0, 9, 10, 10**12, -1], [10, 9, 0, 0, 1], [-1, 0, 0, 0, 10**12], [0] * 5]
-    rows = tuple({j: count for j, count in enumerate(row) if count} for row in cells)
-    # An explicit 0 at a cell renders as an absent one.
-    m = DocTermMatrix(n=1, doc_ids=("x", "ý", "z", "w"), features=features,
-                      rows=({0: 0, **rows[0]}, *rows[1:]))
+    rows = [{gram: count for gram, count in zip(features, row) if count} for row in cells]
+    rows[0] = {features[0]: 0, **rows[0]}  # an explicit 0 renders as an absent one
+    rows[2] = dict(reversed(rows[2].items()))
+    m = DocTermMatrix(n=1, doc_ids=("x", "ý", "z", "w"), features=features, rows=tuple(rows))
     args = (["x", "ý", "z", "w"], features, cells)
     assert "".join(matrix_to_tsv(m)) == reference_matrix_tsv(*args)
     assert "".join(matrix_to_json(m)) == reference_matrix_json(1, *args)
@@ -559,7 +571,8 @@ TSV_BREAKS = ["\t", "\r", "\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2
 @pytest.mark.parametrize("breaker", TSV_BREAKS, ids=repr)
 def test_matrix_tsv_rejects_a_document_id_that_would_break_its_row(breaker):
     doc_id = f"corpus/a{breaker}b.txt"
-    m = DocTermMatrix(n=1, doc_ids=("ok.txt", doc_id), features=(("a",),), rows=({0: 1}, {}))
+    m = DocTermMatrix(n=1, doc_ids=("ok.txt", doc_id), features=(("a",),),
+                      rows=({("a",): 1}, {}))
     with pytest.raises(ValueError, match="--format json") as info:
         matrix_to_tsv(m)
     assert repr(doc_id) in str(info.value)

@@ -168,7 +168,8 @@ def test_merge_commutative_and_associative(xs, ys, zs, n):
         sums = Counter()
         for row in matrix.rows:
             sums.update(row)
-        return matrix.features, {matrix.features[j]: count for j, count in sums.items()}
+        assert set(sums) <= set(matrix.features)
+        return matrix.features, dict(sums)
 
     features, sums = merged(a, b, c)
     assert sums == Counter(a[1].counts) + Counter(b[1].counts) + Counter(c[1].counts)
@@ -545,13 +546,15 @@ def matrix_corpora(draw):
 # as one byte and any wider count spliced in, so these are pinned: 10 and
 # 100 or more in the first and the last feature column, next to a row of
 # zeros; a 9 next to a 10; a row non-zero in every column; a wide count in
-# the first cell, where a JSON row's leading comma is cut; then one
+# the first cell, where a JSON row's leading comma is cut; two wide counts
+# that the row's table lists in the reverse of column order; then one
 # feature, and no feature at all.
 @example(["ocha " * 10 + "komputa " * 100, "ocha " * 110, "na"], 1, "paper")
 @example(["komputa nkunaka " * 101, "komputa nkunaka " * 10, "na ahụ"], 2, "strict")
 @example(["komputa " * 10 + "ocha " * 9 + "nkunaka", "ocha"], 1, "paper")
 @example(["ocha komputa nkunaka ụlọ", "ocha ocha"], 1, "strict")
 @example(["akwụkwọ " * 12 + "ocha", "ocha akwụkwọ"], 1, "paper")
+@example(["komputa " * 10 + "ocha " * 12, "ocha"], 1, "paper")
 @example(["komputa", "na", "komputa komputa"], 1, "paper")
 @example(["na ya", ""], 2, "paper")
 def test_matrix_output_matches_dense_reference(texts, n, mode):
