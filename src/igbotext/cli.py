@@ -152,8 +152,8 @@ def _cmd_tokenize(args: argparse.Namespace) -> Iterator[str]:
 
 def _cmd_represent(args: argparse.Namespace) -> str | Iterator[str]:
     cfg = _pipeline_config(args, _parse_orders(args.n))
-    doc = load_corpus([args.file])[0]
-    bundle = Pipeline(cfg).represent(doc)
+    # No name holds the document, so its text is freed before serializing.
+    bundle = Pipeline(cfg).represent(load_corpus([args.file])[0])
     return bundle_to_json(bundle) if args.format == "json" else bundle_to_tsv(bundle)
 
 

@@ -15,7 +15,7 @@ matrix axis), ``count_runs`` for bare joined grams (table TSV).
 from __future__ import annotations
 
 import unicodedata
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby, islice
@@ -64,12 +64,18 @@ class LanguageModel:
 def extract_ngrams(tokens: Sequence[str], n: int) -> NGramTable:
     """The table of every contiguous window of n tokens; of T tokens there
     are max(0, T-n+1) windows. Anything but an order (``is_order``) is an
-    ``InvalidOrderError``."""
+    ``InvalidOrderError``.
+
+    The windows are counted straight into the table's own plain ``dict``,
+    keyed in order of first occurrence, by ``collections._count_elements``,
+    the C loop behind ``Counter.update``: no ``Counter`` is made and then
+    copied. The stream is read through one iterator per position of the
+    window, so it is not copied either."""
     if not is_order(n):
         raise InvalidOrderError(n, ORDERS)
-    # One iterator over the stream per position: a slice would copy it.
-    counts = Counter(zip(*(islice(tokens, i, None) for i in range(n))))
-    return NGramTable(counts=dict(counts), total_windows=max(0, len(tokens) - n + 1))
+    counts: dict[NGram, int] = {}
+    _count_elements(counts, zip(*(islice(tokens, i, None) for i in range(n))))
+    return NGramTable(counts=counts, total_windows=max(0, len(tokens) - n + 1))
 
 
 def unigram_probability(m: LanguageModel, w: str) -> float:

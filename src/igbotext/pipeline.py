@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, filterfalse, repeat
 from operator import add, itemgetter, not_
 from pathlib import Path
 
@@ -182,14 +182,10 @@ def to_json(payload: object) -> Iterator[str]:
     return chain(ENCODER.iterencode(payload), ["\n"])
 
 
-def table_to_tsv(t: NGramTable) -> str:
-    """One "gram<TAB>count" row per entry, in rank order: each run of equal
-    counts is its grams joined by, and ended with, the same tail."""
-    return "".join(_tsv_runs(t.counts))
-
-
 def _tsv_runs(counts: Mapping[NGram, int]) -> Iterator[str]:
-    # A generator, so that its last run's grams are gone before the join.
+    """One "gram<TAB>count" row per entry, in rank order: each run of equal
+    counts is its grams joined by, and ended with, the same tail. A
+    generator, so that each run's grams are gone once its rows are made."""
     for count, grams in count_runs(counts):
         tail = f"\t{count}\n"
         yield tail.join(grams)
@@ -210,9 +206,18 @@ def table_to_obj(b: RepresentationBundle, n: int) -> dict:
 
 
 def bundle_to_tsv(b: RepresentationBundle) -> str:
-    """Tables in ascending order, blank-line separated when several."""
-    blocks = [table_to_tsv(b.tables[n]) for n in sorted(b.tables)]
-    return "\n".join(block for block in blocks if block)
+    """Tables in ascending order, blank-line separated when several.
+
+    One ``join`` over every table's runs (``_tsv_runs``), each blank line a
+    piece of its own: no table's TSV is made as a string and then copied
+    into the whole. A table is empty exactly when its TSV is."""
+    pieces: list[str] = []
+    for n in sorted(b.tables):
+        counts = b.tables[n].counts
+        if pieces and counts:
+            pieces.append("\n")
+        pieces += _tsv_runs(counts)
+    return "".join(pieces)
 
 
 def bundle_to_json(b: RepresentationBundle) -> Iterator[str]:
@@ -287,18 +292,28 @@ def _dense_rows(
     written there by C ``map``s: no Python code runs per cell. A count
     outside 0-9 is spliced in as ``str(count)``, in cell order, once the
     row is decoded, so the Python work of a row grows only with those cells.
+
+    A row holding a gram that is not a feature is a ValueError that names
+    its document and the gram, raised when that row is reached: the lines
+    before it have already been yielded.
     """
     lead = len(sep)  # ASCII, as is the whole line: a byte is a character
     zeros = (((sep + "0") * len(m.features))[skip:] + tail).encode()
     at = dict(zip(m.features, range(lead - skip, len(m.features) * (lead + 1), lead + 1)))
     digit = dict(zip(range(10), b"0123456789"))
-    for head, row in zip(heads, m.rows):
+    for i, (head, row) in enumerate(zip(heads, m.rows)):
         cells, values = bytearray(zeros), row.values()
         wide: list[tuple[int, int]] = []
         try:
             deque(map(cells.__setitem__, map(at.__getitem__, row),
                       map(digit.__getitem__, values)), maxlen=0)
         except KeyError:  # a count outside 0-9 keeps its 0 here, spliced over below
+            stray = next(filterfalse(at.__contains__, row), None)
+            if stray is not None:
+                raise ValueError(
+                    f"the row of document {m.doc_ids[i]!r} holds {stray!r}, "
+                    "which is not a feature of the matrix"
+                ) from None
             deque(map(cells.__setitem__, map(at.__getitem__, row),
                       map(digit.get, values, repeat(digit[0]))), maxlen=0)
             wide = sorted(compress(zip(map(at.__getitem__, row), values),

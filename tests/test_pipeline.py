@@ -30,7 +30,6 @@ from igbotext.pipeline import (
     bundle_to_tsv,
     matrix_to_json,
     matrix_to_tsv,
-    table_to_tsv,
     write_output,
 )
 from igbotext.textio import Document
@@ -394,12 +393,12 @@ def test_matrix_order_mismatch(doc1):
 
 
 def test_tsv_first_line(doc1_bundle):
-    assert table_to_tsv(doc1_bundle.tables[1]).splitlines()[0] == "nkuziie\t4"
+    assert bundle_to_tsv(doc1_bundle).splitlines()[0] == "nkuziie\t4"
 
 
 def test_tsv_empty_table():
     empty = NGramTable({}, 0)
-    assert table_to_tsv(empty) == ""
+    assert bundle_to_tsv(RepresentationBundle("d", {1: empty})) == ""
 
 
 def test_bundle_tsv_has_one_row_per_entry(doc1_bundle):
@@ -562,6 +561,15 @@ def test_matrix_rows_write_every_count_as_its_str():
     args = (["x", "ý", "z", "w"], features, cells)
     assert "".join(matrix_to_tsv(m)) == reference_matrix_tsv(*args)
     assert "".join(matrix_to_json(m)) == reference_matrix_json(1, *args)
+
+
+@pytest.mark.parametrize("serialize", [matrix_to_tsv, matrix_to_json])
+def test_matrix_row_with_a_gram_off_the_axis_is_named(serialize):
+    m = DocTermMatrix(n=1, doc_ids=("x", "y"), features=(("a",),),
+                      rows=({("a",): 1}, {("b",): 2}))
+    lines = serialize(m)
+    with pytest.raises(ValueError, match=r"document 'y' holds \('b',\)"):
+        list(lines)
 
 
 # TAB and every character at which str.splitlines breaks a line.
