@@ -13,7 +13,6 @@ import os
 import sys
 from collections.abc import Iterator
 from itertools import chain, repeat
-from pathlib import Path
 
 from .errors import (
     DecodeError,
@@ -49,26 +48,14 @@ EXIT_IO = 3
 EXIT_DATA = 4
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        self.code = code
-        self.message = message
-        super().__init__(message)
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; this tool reserves 2
-    # for decode errors.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        raise _CliError(EXIT_USAGE, f"{self.prog}: error: {message}")
-
-
 def _parse_orders(value: str) -> tuple[int, ...]:
+    """``--n``'s ``type``: a bad value is reported as itself, with no usage
+    line, and leaves ``parse_args`` with status 2 as argparse's errors do."""
     try:
         return tuple(int(piece) for piece in value.split(",") if piece.strip())
     except ValueError:
-        raise _CliError(EXIT_USAGE, f"invalid --n value {value!r}") from None
+        print(f"invalid --n value {value!r}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 # Built on the first call and kept: parse_args leaves the parser as it
@@ -88,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     counting.add_argument("--stopwords", metavar="PATH", default=None,
                           help="stop-word file (default: shipped list)")
 
-    parser = _Parser(prog="igbotext", description=__doc__)
+    parser = argparse.ArgumentParser(prog="igbotext", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
@@ -102,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("represent", parents=[counting], help="n-gram frequency tables")
     p.add_argument("file")
-    p.add_argument("--n", default=",".join(map(str, ORDERS)),
+    p.add_argument("--n", type=_parse_orders, default=",".join(map(str, ORDERS)),
                    help="comma-separated orders (default: %(default)s)")
     p.set_defaults(run=_cmd_represent)
 
@@ -151,21 +138,18 @@ def _cmd_tokenize(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _cmd_represent(args: argparse.Namespace) -> str | Iterator[str]:
-    cfg = _pipeline_config(args, _parse_orders(args.n))
+    cfg = _pipeline_config(args, args.n)
     # No name holds the document, so its text is freed before serializing.
     bundle = Pipeline(cfg).represent(load_corpus([args.file])[0])
     return bundle_to_json(bundle) if args.format == "json" else bundle_to_tsv(bundle)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> str | Iterator[str]:
-    root = Path(args.dir)
-    if not root.is_dir():
-        raise _CliError(EXIT_IO, f"not a directory: {root}")
-    # Listed as given: "" names no directory, though ``root`` is ".".
+    # Listed as given: "" names no directory, though ``Path("")`` is ".".
     with os.scandir(args.dir) as entries:
-        paths = sorted(root / e.name for e in entries if e.name.endswith(".txt") and e.is_file())
+        paths = sorted(e.path for e in entries if e.name.endswith(".txt") and e.is_file())
     pipeline = Pipeline(_pipeline_config(args, (args.n,)))
-    bundles = [pipeline.represent(doc) for doc in load_corpus(list(paths))]
+    bundles = [pipeline.represent(doc) for doc in load_corpus(paths)]
     matrix = build_doc_term_matrix(bundles, args.n)
     return matrix_to_json(matrix) if args.format == "json" else matrix_to_tsv(matrix)
 
@@ -180,18 +164,18 @@ def _cmd_features(args: argparse.Namespace) -> str | Iterator[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code, for every ``argv``: 0 for
+    ``--help``, 1 for a usage error, which argparse has already reported."""
     try:
-        args = parser.parse_args(argv)
-        text = args.run(args)
-        write_output(text, args.output)
-        return EXIT_OK
-    except _CliError as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code else EXIT_OK
+    try:
+        write_output(args.run(args), args.output)
     except (IgboTextError, OSError, ValueError) as exc:
         print(f"igbotext: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
+    return EXIT_OK
 
 
 def _exit_code_for(exc: Exception) -> int:

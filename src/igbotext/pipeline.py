@@ -67,12 +67,18 @@ class DocTermMatrix:
 
     ``rows[i]`` maps each gram of document i to its count, features it
     lacks having no entry: its bundle's own order-n ``counts``, not a copy.
+    One row per document id, or a ValueError: the writers pair them by
+    ``zip``, which would drop whatever the longer holds past the shorter.
     """
 
     n: int
     doc_ids: tuple[str, ...]
     features: tuple[NGram, ...]
     rows: tuple[Mapping[NGram, int], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.doc_ids) != len(self.rows):
+            raise ValueError(f"{len(self.doc_ids)} document ids for {len(self.rows)} rows")
 
 
 class Pipeline:

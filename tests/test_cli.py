@@ -119,13 +119,49 @@ def test_exit_code_usage_error():
     assert run_cli().returncode == 1
 
 
-def test_help_exits_zero():
+def test_help_exits_zero(capsys):
+    from igbotext.cli import main
+
     assert run_cli("--help").returncode == 0
     assert run_cli("represent", "--help").returncode == 0
+    # In process too: main returns the code rather than raising SystemExit.
+    assert main(["--help"]) == 0
+    assert main(["represent", "--help"]) == 0
+    assert capsys.readouterr().out.count("usage: igbotext") == 2
 
 
 def test_exit_code_missing_file():
     assert run_cli("represent", "/no/such/file.txt").returncode == 3
+
+
+def test_matrix_on_a_path_that_is_not_a_directory_is_an_io_error(tmp_path, capsys):
+    # Reported in the OS's words, as every other I/O error is.
+    from igbotext.cli import main
+
+    (tmp_path / "file.txt").write_text("komputa ocha", encoding="utf-8")
+    for name, reason in [
+        ("missing", "[Errno 2] No such file or directory"),
+        ("file.txt", "[Errno 20] Not a directory"),
+    ]:
+        path = str(tmp_path / name)
+        assert main(["matrix", path]) == 3
+        assert capsys.readouterr().err == f"igbotext: {reason}: {path!r}\n"
+
+
+@pytest.mark.parametrize("given", ["corpus", "./corpus", "corpus/", "."])
+def test_matrix_document_ids_do_not_depend_on_how_the_directory_is_spelled(
+    tmp_path, monkeypatch, capsys, given
+):
+    from igbotext.cli import main
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("b.txt", "a.txt"):
+        (corpus / name).write_text("komputa ocha", encoding="utf-8")
+    monkeypatch.chdir(corpus if given == "." else tmp_path)
+    assert main(["matrix", given, "--format", "json"]) == 0
+    prefix = "" if given == "." else os.path.join("corpus", "")
+    assert json.loads(capsys.readouterr().out)["docs"] == [prefix + "a.txt", prefix + "b.txt"]
 
 
 def test_exit_code_decode_error(tmp_path):
@@ -224,6 +260,15 @@ def test_exit_code_bad_lexicon(tmp_path):
     bad = tmp_path / "lex.tsv"
     bad.write_text("mmiri mmiri\twatery\tNominal\n", encoding="utf-8")
     assert run_cli("features", DOC1, "--lexicon", str(bad)).returncode == 4
+
+
+def test_empty_lexicon_phrase_is_a_data_error(tmp_path, capsys):
+    from igbotext.cli import main
+
+    bad = tmp_path / "lex.tsv"
+    bad.write_text("\tgloss\tNominal\n", encoding="utf-8")
+    assert main(["features", DOC1, "--lexicon", str(bad)]) == 4
+    assert capsys.readouterr().err == f"igbotext: stage 'load-lexicon': {bad}:1: empty phrase\n"
 
 
 @pytest.mark.parametrize(

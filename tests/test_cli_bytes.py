@@ -121,10 +121,7 @@ def run_case(argv: list[str], output: Path) -> dict:
         argv = [*argv, "--output", str(output)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's --help
-            code = exc.code
+        code = main(argv)
     return {
         "exit": code,
         "output": _sha256(output.read_bytes() if output.exists() else None),

@@ -61,6 +61,11 @@ def test_bad_field_count_names_line():
     assert ":1" in str(err.value)
 
 
+def test_empty_phrase_is_format_error():
+    with pytest.raises(LexiconFormatError, match=r"^mem:2: empty phrase$"):
+        _load("onye nkuzi\tteacher\tNominal\n\tgloss\tNominal\n")
+
+
 def test_unknown_category_is_format_error():
     with pytest.raises(LexiconFormatError):
         _load("onye nkuzi\tteacher\tVerbish\n")

@@ -520,6 +520,16 @@ def _entries(*pairs) -> list[dict]:
             r"^bundle JSON holds no table object$",
             id="no-table",
         ),
+        pytest.param(
+            _table_obj(entries={}),
+            r"^table object 0: entries is not a list$",
+            id="entries-an-object",
+        ),
+        pytest.param(
+            [_table_obj(n=1, total=1, entries=_entries((["a"], 1))), _table_obj(doc_id="e")],
+            r"^bundle mixes document ids: \['d', 'e'\]$",
+            id="two-doc-ids",
+        ),
     ],
 )
 def test_bundle_json_reader_names_what_it_rejects(payload, message):
@@ -570,6 +580,17 @@ def test_matrix_row_with_a_gram_off_the_axis_is_named(serialize):
     lines = serialize(m)
     with pytest.raises(ValueError, match=r"document 'y' holds \('b',\)"):
         list(lines)
+
+
+@pytest.mark.parametrize("serialize", [matrix_to_tsv, matrix_to_json])
+@pytest.mark.parametrize("doc_ids, rows, message", [
+    (("x", "y", "z"), ({("a",): 1},), "3 document ids for 1 rows"),
+    (("x",), ({("a",): 1}, {("a",): 2}), "1 document ids for 2 rows"),
+])
+def test_matrix_needs_one_doc_id_per_row(serialize, doc_ids, rows, message):
+    # Refused when made, before a writer can drop what lies past the shorter.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        list(serialize(DocTermMatrix(n=1, doc_ids=doc_ids, features=(("a",),), rows=rows)))
 
 
 # TAB and every character at which str.splitlines breaks a line.
