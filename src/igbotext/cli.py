@@ -58,14 +58,27 @@ def _parse_orders(value: str) -> tuple[int, ...]:
         raise SystemExit(2) from None
 
 
+def _one_of(*values: str) -> dict:
+    """``add_argument``'s ``type`` and ``metavar`` for an option that takes
+    one of ``values``. Any other value is reported in the words of
+    argparse's ``choices`` through Python 3.13.0, each value quoted: later
+    releases drop the quotes, so the message is written here."""
+    def check(value: str) -> str:
+        if value not in values:
+            listed = ", ".join(map(repr, values))
+            raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {listed})")
+        return value
+    return {"type": check, "metavar": "{" + ",".join(values) + "}"}
+
+
 # Built on the first call and kept: parse_args leaves the parser as it
 # was, so each call of ``main`` gets a fresh namespace from it.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=[m.value for m in Mode], default="paper",
+    common.add_argument("--mode", **_one_of(*(m.value for m in Mode)), default="paper",
                         help="pipeline behaviour (default: paper)")
-    common.add_argument("--format", choices=("tsv", "json"), default="tsv",
+    common.add_argument("--format", **_one_of("tsv", "json"), default="tsv",
                         help="output format (default: tsv)")
     common.add_argument("--output", metavar="PATH", default=None,
                         help="output file (default: stdout)")

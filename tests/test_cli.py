@@ -130,6 +130,26 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.count("usage: igbotext") == 2
 
 
+@pytest.mark.parametrize("option, metavar, listed", [
+    ("--mode", "{paper,strict}", "'paper', 'strict'"),
+    ("--format", "{tsv,json}", "'tsv', 'json'"),
+])
+def test_a_value_outside_an_options_choices_is_named_with_each_choice_quoted(
+    option, metavar, listed, capsys
+):
+    # The same words on every Python: argparse's own choices message lost
+    # its quotes after 3.13.0.
+    from igbotext.cli import main
+
+    for command in ("normalize", "tokenize", "represent", "matrix", "features"):
+        assert main([command, "x", option, "bogus"]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {option}: invalid choice: 'bogus' (choose from {listed})\n"
+        )
+    assert main(["represent", "--help"]) == 0
+    assert f"[{option} {metavar}]" in capsys.readouterr().out
+
+
 def test_exit_code_missing_file():
     assert run_cli("represent", "/no/such/file.txt").returncode == 3
 

@@ -5,6 +5,7 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -21,7 +22,10 @@ from igbotext import (
     load_corpus,
     run_pipeline,
 )
+from igbotext import normalize as normalize_module
+from igbotext import pipeline as pipeline_module
 from igbotext.ngrams import NGramTable, extract_ngrams
+from igbotext.normalize import normalize, pieces
 from igbotext.pipeline import (
     DocTermMatrix,
     RepresentationBundle,
@@ -271,6 +275,103 @@ def test_text_stages_hold_a_few_pointers_per_word_not_the_text(doc1):
         assert peak < budget, (stage, peak, budget)
         filtered = pipeline._filtered(doc)
         assert len({id(token) for token in filtered}) == len(set(filtered))
+
+
+def test_a_first_document_is_normalized_piece_by_piece(doc1):
+    # A Pipeline that serves one document fills no word memo: normalize
+    # gets each piece of the text itself, once.
+    doc = Document("d", doc1.text * 3)
+    with mock.patch.object(normalize_module, "_PIECE", 200):
+        cut = list(pieces(doc.text))
+        with mock.patch.object(pipeline_module, "normalize", wraps=normalize) as spy:
+            Pipeline(PipelineConfig(mode=Mode.STRICT)).represent(doc)
+    assert len(cut) > 1
+    assert [call.args[0] for call in spy.call_args_list] == cut
+
+
+def test_a_later_document_of_seen_words_is_not_normalized(doc1):
+    pipeline = Pipeline(PipelineConfig(mode=Mode.STRICT))
+    pipeline.represent(doc1)  # the first document: piece by piece
+    pipeline.represent(doc1)  # the second: its words fill the memo
+    later = Document("later", "\t".join(reversed(doc1.text.split())))
+    with mock.patch.object(pipeline_module, "normalize", wraps=normalize) as spy:
+        bundle = pipeline.represent(later)
+    assert spy.call_count == 0
+    assert bundle == Pipeline(PipelineConfig(mode=Mode.STRICT)).represent(later)
+
+
+def _distinct_words(count: int, start: int = 0) -> list[str]:
+    """``count`` distinct lowercase words of five letters, none a stop word."""
+    letters = "bdfghjklmprstvwz"
+    return [
+        "".join(letters[(i >> shift) & 15] for shift in (16, 12, 8, 4, 0))
+        for i in range(start, start + count)
+    ]
+
+
+def test_a_memo_that_meets_mostly_new_words_is_dropped():
+    # Two windows of words: the memo's first, its cold start, is not
+    # judged; in the second every word is new, so the memo is dropped in
+    # the middle of the document and its last piece is normalized whole.
+    cfg = PipelineConfig(mode=Mode.PAPER_GOLDEN)
+    pipeline = Pipeline(cfg)
+    pipeline.represent(Document("first", "ụlọ akwụkwọ"))
+    later = Document("later", " ".join(_distinct_words(30)) + " ")
+    with mock.patch.object(pipeline_module, "_WINDOW", 10), \
+            mock.patch.object(normalize_module, "_PIECE", 55):
+        cut = list(pieces(later.text))
+        with mock.patch.object(pipeline_module, "normalize", wraps=normalize) as spy:
+            bundle = pipeline.represent(later)
+        assert len(cut) == 3  # ten words a piece
+        assert [call.args[0] for call in spy.call_args_list][-1] == cut[-1]
+        assert spy.call_count == 3
+        assert bundle == Pipeline(cfg).represent(later)
+        # Freed, and every later document is served as the first was.
+        assert pipeline._words is None and pipeline._tokens is None
+        last = Document("last", later.text + "ụlọ")
+        with mock.patch.object(pipeline_module, "normalize", wraps=normalize) as spy:
+            bundle = pipeline.represent(last)
+        assert [call.args[0] for call in spy.call_args_list] == list(pieces(last.text))
+        assert bundle == Pipeline(cfg).represent(last)
+        filtered = pipeline._filtered(later)
+        assert len({id(token) for token in filtered}) == len(set(filtered))
+
+
+def test_a_memo_that_meets_few_new_words_is_kept(doc1):
+    cfg = PipelineConfig(mode=Mode.STRICT)
+    pipeline = Pipeline(cfg)
+    pipeline.represent(doc1)
+    with mock.patch.object(pipeline_module, "_WINDOW", 10):
+        for i in range(4):
+            # Each document is doc1's words and one new word: new words
+            # are far fewer than 3 in 8 of a window.
+            doc = Document(f"d{i}", f"{doc1.text} {_distinct_words(1, i)[0]}")
+            assert pipeline.represent(doc) == Pipeline(cfg).represent(doc)
+    assert pipeline._words is not None
+
+
+def test_the_word_memo_grows_with_distinct_words_not_with_the_text():
+    # 20,000 distinct words, each met eight times in a row, so that one
+    # word in eight is new and the memo is kept. It holds an entry per
+    # word and one per token, under 512 bytes a word all told (about
+    # 200 on Python 3.11); a text twice as long of the same words adds
+    # nothing.
+    words = _distinct_words(20_000)
+    text = " ".join(word for word in words for _ in range(8))
+    longer = Document("longer", f"{text} {text}")
+    pipeline = Pipeline(PipelineConfig(mode=Mode.PAPER_GOLDEN))
+    pipeline.represent(Document("first", ""))
+    tracemalloc.start()
+    try:
+        pipeline._filtered(Document("d", text))
+        held = tracemalloc.get_traced_memory()[0]
+        pipeline._filtered(longer)
+        held_after_longer = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(pipeline._words) == len(words)
+    assert held < 512 * len(words), held
+    assert held_after_longer - held < 16 * 1024, (held, held_after_longer)
 
 
 def test_matrix_identical_docs_give_identical_rows(doc1, golden_pipeline):

@@ -30,6 +30,7 @@ from igbotext import (
     unigram_probability,
 )
 from igbotext import normalize as normalize_module
+from igbotext import pipeline as pipeline_module
 from igbotext.cli import main as cli_main
 from igbotext.lexicon import CompoundCategory, match_key_features
 from igbotext.ngrams import ORDERS, NGramTable, extract_ngrams, rank_features
@@ -449,19 +450,25 @@ def test_pieces_are_exact(text, size):
             # past its size-th character, which pins each cut exactly.
             assert i == len(cut) - 1 or (len(piece) >= size and piece[-1].isspace())
             assert not any(map(str.isspace, piece[size - 1:-1]))
-        # Every output equals that of the whole text in one piece.
+        # Every output equals that of the whole text in one piece: by the
+        # first document's path, and by the word memo of a Pipeline past
+        # its first document.
         with tempfile.TemporaryDirectory() as tmp:
             src = Path(tmp) / "doc.txt"
             src.write_bytes(text.encode("utf-8"))
-            for mode, pipeline in _PIPELINES.items():
+            for mode, shared in _PIPELINES.items():
                 whole = normalize(text, mode)
                 assert tuple(chain.from_iterable(tokens(text, mode))) == tokenize(whole)
-                kept = remove_stopwords(tokenize(whole), pipeline.stoplist, mode)
+                kept = remove_stopwords(tokenize(whole), shared.stoplist, mode)
                 doc = Document("d", text)
-                bundle = pipeline.represent(doc)
-                for n in ORDERS:
-                    assert bundle.tables[n] == extract_ngrams(kept, n)
-                assert pipeline.features(doc) == match_key_features(kept, pipeline.lexicon)
+                for memo in (False, True):
+                    pipeline = Pipeline(shared.cfg)
+                    if memo:
+                        pipeline.represent(Document("first", ""))
+                    bundle = pipeline.represent(doc)
+                    for n in ORDERS:
+                        assert bundle.tables[n] == extract_ngrams(kept, n)
+                    assert pipeline.features(doc) == match_key_features(kept, shared.lexicon)
                 assert _cli_output(src, "normalize", mode) == " ".join(tokenize(whole)) + "\n"
                 assert _cli_output(src, "tokenize", mode) == "".join(
                     token + "\n" for token in tokenize(whole)
@@ -472,6 +479,54 @@ def test_pieces_are_exact(text, size):
                     assert _cli_output(src, command, mode, "--format", "json") == (
                         json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
                     )
+
+
+# Whitespace words for a Pipeline's word memo: words that normalize to
+# nothing (digits, a currency sign, punctuation alone) or to several tokens
+# (apostrophes, strict hyphens), mark-led words, capital sigmas, stop words,
+# short words that only strict mode's length rule drops, and Igbo words.
+MEMO_WORDS = (
+    "7", "20:30", "₦", "?!", "(.)", "n’ulo", "N'a'", "na-ese", "ana-eme",
+    "\u0323lọ", "\u0300\u0323a", "ΑΣ", "Σa", "aΣ", "na", "ya", "ab", "ụ", "Ụlọ",
+    "ahụ", "komputa", "nkunaka", "ezi", "u\u0323\u0300lo\u0323",
+)
+memo_texts = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(MEMO_WORDS),
+                  st.text(alphabet=NOISY_ALPHABET.translate({ord(c): None for c in " \t\n"}),
+                          min_size=1, max_size=4)),
+        st.sampled_from((" ", "\t", "\u3000", "\u2028")),
+    ),
+    max_size=12,
+).map(lambda words: "".join(word + space for word, space in words))
+
+
+def _counts(bundle: RepresentationBundle) -> list:
+    """Each table's (gram, count) pairs in ``counts`` order, which decides
+    the order of equal ranks in every output."""
+    return [list(bundle.tables[n].counts.items()) for n in ORDERS]
+
+
+@given(st.lists(memo_texts, min_size=1, max_size=4), st.sampled_from(list(Mode)),
+       st.integers(1, 24), st.sampled_from((1, 2, 3, 5, 8, 1 << 30)))
+@example(["ΑΣ na-ese\t7 n’ulo", "\u0323lọ\u3000ΑΣ\u2028ab ụ N'a'"], Mode.STRICT, 4, 1 << 30)
+@example(["komputa ₦ ab", "ab komputa\tya ụ"], Mode.STRICT, 24, 1 << 30)
+@example(["ya", "ab ụ ya 7 N'a' ₦ na-ese\tahụ", "n’ulo ΑΣ ab"], Mode.STRICT, 4, 2)
+@settings(max_examples=150, deadline=None)
+def test_a_shared_pipeline_gives_each_document_what_a_fresh_one_gives(texts, mode, size, window):
+    # From its second document on, a Pipeline maps each word through its
+    # memo, until a window of its words holds too many new ones; a fresh
+    # one runs the document piece by piece. A repeated document meets only
+    # words in the memo; an empty one has none. Small windows drop the
+    # memo, often in the middle of a document.
+    cfg = PipelineConfig(mode=mode)
+    shared = Pipeline(cfg)
+    with mock.patch.object(normalize_module, "_PIECE", size), \
+            mock.patch.object(pipeline_module, "_WINDOW", window):
+        for i, text in enumerate([*texts, texts[0], ""]):
+            doc = Document(f"d{i}", text)
+            assert _counts(shared.represent(doc)) == _counts(Pipeline(cfg).represent(doc)), i
+            assert shared.features(doc) == Pipeline(cfg).features(doc), i
 
 
 @given(st.one_of(noisy_texts, marked_texts, st.text(max_size=60)))
