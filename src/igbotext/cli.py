@@ -150,7 +150,7 @@ def _cmd_tokenize(args: argparse.Namespace) -> Iterator[str]:
     return ("\n".join(words) + "\n" for words in streams if words)
 
 
-def _cmd_represent(args: argparse.Namespace) -> str | Iterator[str]:
+def _cmd_represent(args: argparse.Namespace) -> bytes | Iterator[str]:
     cfg = _pipeline_config(args, args.n)
     # No name holds the document, so its text is freed before serializing.
     bundle = Pipeline(cfg).represent(load_corpus([args.file])[0])

@@ -9,7 +9,8 @@ probability zero and unseen contexts are errors.
 Every output is in the rank order stated at ``rank_rows``, in one of three
 forms: ``rank_rows`` for lexicon rows that carry their joined gram (the
 feature list), ``rank_features`` for ``(gram, count)`` pairs (table JSON,
-matrix axis), ``count_runs`` for bare joined grams (table TSV).
+matrix axis), ``count_runs`` for the UTF-8 bytes of bare joined grams
+(table TSV), sorted as bytes where a run is NFC.
 """
 
 from __future__ import annotations
@@ -102,8 +103,11 @@ def trigram_conditional(m: LanguageModel, w1: str, w2: str, w3: str) -> float:
     return m.trigrams.counts.get((w1, w2, w3), 0) / context
 
 
+_nfc = partial(unicodedata.normalize, "NFC")
+
+
 def _nfc_gram(row: tuple) -> str:
-    return unicodedata.normalize("NFC", row[0])
+    return _nfc(row[0])
 
 
 def rank_rows(rows: list[Row]) -> list[Row]:
@@ -126,21 +130,41 @@ def rank_features(counts: Mapping[NGram, int]) -> list[tuple[NGram, int]]:
     items by count, then in each run of equal counts a stable sort of
     indices by the NFC keys of the joined grams. Every step per gram is a
     C callable, and the items are the pairs returned."""
-    nfc = partial(unicodedata.normalize, "NFC")
     gram, count = itemgetter(0), itemgetter(1)
     ranked: list[tuple[NGram, int]] = []
     for _, run in groupby(sorted(counts.items(), key=count, reverse=True), key=count):
         run = list(run)
-        keys = list(map(nfc, map(" ".join, map(gram, run))))
+        keys = list(map(_nfc, map(" ".join, map(gram, run))))
         ranked += map(run.__getitem__, sorted(range(len(run)), key=keys.__getitem__))
     return ranked
 
 
-def count_runs(counts: Mapping[NGram, int]) -> Iterator[tuple[int, list[str]]]:
-    """``(count, joined grams)`` runs of equal counts, in rank order (see
-    ``rank_rows``; both sorts are stable). Every step per gram is a C
-    callable, and no tuple is made per gram."""
-    nfc = partial(unicodedata.normalize, "NFC")
+def count_runs(counts: Mapping[NGram, int]) -> Iterator[tuple[int, list[bytes]]]:
+    """``(count, UTF-8 of the joined grams)`` runs of equal counts, in rank
+    order (see ``rank_rows``). Every step per gram is a C callable, and no
+    tuple is made per gram.
+
+    A run's joined grams are joined by line feeds into one text. When that
+    text is NFC and splits back at its line feeds into as many grams, as
+    the text of every table that ``normalize`` feeds does, each gram is
+    its own NFC key: the text is encoded once, split at the line feeds and
+    the bytes sorted. UTF-8 byte order is code point order, and grams of
+    equal bytes are equal rows, so no tie can show. Any other run, such as
+    one of NFD words or of a word holding a line feed, is sorted stably by
+    the NFC keys, then encoded gram by gram. A lone surrogate in a word is
+    a ``UnicodeEncodeError``, raised in either case."""
     grams = sorted(counts, key=counts.__getitem__, reverse=True)
     for count, run in groupby(grams, key=counts.__getitem__):
-        yield count, sorted(map(" ".join, run), key=nfc)
+        yield count, _utf8_ranked(list(run))
+
+
+def _utf8_ranked(run: list[NGram]) -> list[bytes]:
+    """The UTF-8 of a run's joined grams in rank order (see ``count_runs``).
+    A function of its own, so that the run's text is freed on return."""
+    text = "\n".join(map(" ".join, run))
+    if _nfc(text) == text:
+        rows = text.encode().split(b"\n")
+        if len(rows) == len(run):  # no word holds a line feed
+            rows.sort()
+            return rows
+    return list(map(str.encode, sorted(map(" ".join, run), key=_nfc)))

@@ -276,12 +276,13 @@ def to_json(payload: object) -> Iterator[str]:
     return chain(ENCODER.iterencode(payload), ["\n"])
 
 
-def _tsv_runs(counts: Mapping[NGram, int]) -> Iterator[str]:
-    """One "gram<TAB>count" row per entry, in rank order: each run of equal
-    counts is its grams joined by, and ended with, the same tail. A
-    generator, so that each run's grams are gone once its rows are made."""
+def _tsv_runs(counts: Mapping[NGram, int]) -> Iterator[bytes]:
+    """The UTF-8 of one "gram<TAB>count" row per entry, in rank order: each
+    run of equal counts is its grams' bytes (``count_runs``) joined by, and
+    ended with, the same tail. A generator, so that each run's grams are
+    gone once its rows are made."""
     for count, grams in count_runs(counts):
-        tail = f"\t{count}\n"
+        tail = b"\t%d\n" % count
         yield tail.join(grams)
         yield tail
 
@@ -299,19 +300,23 @@ def table_to_obj(b: RepresentationBundle, n: int) -> dict:
     }
 
 
-def bundle_to_tsv(b: RepresentationBundle) -> str:
-    """Tables in ascending order, blank-line separated when several.
+def bundle_to_tsv(b: RepresentationBundle) -> bytes:
+    """The UTF-8 bytes of the tables in ascending order, blank-line
+    separated when several.
 
     One ``join`` over every table's runs (``_tsv_runs``), each blank line a
-    piece of its own: no table's TSV is made as a string and then copied
-    into the whole. A table is empty exactly when its TSV is."""
-    pieces: list[str] = []
+    piece of its own: no table's TSV is made and then copied into the
+    whole, and the whole is never a ``str`` to encode. A table is empty
+    exactly when its TSV is. A word holding a lone surrogate, which a
+    table built by hand or read by ``bundle_from_json`` can hold and a
+    pipeline's cannot, is a ``UnicodeEncodeError`` raised here."""
+    pieces: list[bytes] = []
     for n in sorted(b.tables):
         counts = b.tables[n].counts
         if pieces and counts:
-            pieces.append("\n")
+            pieces.append(b"\n")
         pieces += _tsv_runs(counts)
-    return "".join(pieces)
+    return b"".join(pieces)
 
 
 def bundle_to_json(b: RepresentationBundle) -> Iterator[str]:
@@ -489,27 +494,29 @@ def features_to_json(doc_id: str, features: list[KeyFeature]) -> Iterator[str]:
 
 
 def write_output(
-    text: str | Iterable[str], destination: str | os.PathLike[str] | None
+    text: str | bytes | Iterable[str], destination: str | os.PathLike[str] | None
 ) -> None:
     """Write the UTF-8 bytes of ``text`` to a file, or to stdout when
     destination is None, whatever stdout's own encoding. A stdout with no
     ``buffer``, such as an ``io.StringIO`` put in its place, is written
-    each string itself, once.
+    each string itself, once, and ``bytes`` as their decoded text.
 
-    ``text`` is one string or an iterable of strings written as they are
-    made, so that only one is alive at a time. Each string's bytes are
-    written until all are taken: a pipe whose reader went away takes part
-    of a write with no error, and the next write raises BrokenPipeError.
+    ``text`` is UTF-8 ``bytes`` written as they are, one string, or an
+    iterable of strings written as they are made, so that only one is
+    alive at a time. Each chunk's bytes are written until all are taken: a
+    pipe whose reader went away takes part of a write with no error, and
+    the next write raises BrokenPipeError.
     """
-    chunks = [text] if isinstance(text, str) else text
+    if isinstance(text, str):
+        text = [text]
     stdout = getattr(sys.stdout, "buffer", sys.stdout)
     sink = nullcontext(stdout) if destination is None else open(destination, "wb")
     with sink as fh:
         if fh is sys.stdout:
-            for chunk in chunks:
+            for chunk in [text.decode()] if isinstance(text, bytes) else text:
                 fh.write(chunk)
         else:
-            for data in map(str.encode, chunks):  # UTF-8
+            for data in [text] if isinstance(text, bytes) else map(str.encode, text):  # UTF-8
                 written = fh.write(data)
                 while written < len(data):
                     written += fh.write(memoryview(data)[written:])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
@@ -465,9 +466,37 @@ def test_a_stdout_with_no_buffer_is_written_each_piece_once(monkeypatch):
     assert written == pieces
 
 
-def test_a_short_write_is_retried_until_every_byte_is_taken(monkeypatch):
-    # A binary stdout that takes at most 1,000 bytes a write and says so,
-    # as a pipe whose reader went away may take part of one.
+def test_bytes_are_written_as_they_are_or_as_their_text(tmp_path, monkeypatch):
+    # A file and a binary stdout get the bytes themselves, in one write; a
+    # stdout with no buffer gets their decoded text, once.
+    data = "ị b\t2\nụ\t1\n".encode("utf-8") * 10_000
+    out = tmp_path / "out.tsv"
+    write_output(data, out)
+    assert out.read_bytes() == data
+
+    class Binary(io.BytesIO):
+        def write(self, chunk):
+            writes.append(type(chunk))
+            return super().write(chunk)
+
+    class Text:
+        buffer = Binary()
+
+    writes = []
+    monkeypatch.setattr(sys, "stdout", Text())
+    write_output(data, None)
+    assert Text.buffer.getvalue() == data
+    assert writes == [bytes]
+
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    write_output(data, None)
+    assert sys.stdout.getvalue() == data.decode("utf-8")
+
+
+def _short_writing_stdout(monkeypatch) -> bytearray:
+    """A binary stdout that takes at most 1,000 bytes a write and says so,
+    as a pipe whose reader went away may take part of one; the bytes it
+    took."""
     taken = bytearray()
 
     class Binary:
@@ -482,9 +511,21 @@ def test_a_short_write_is_retried_until_every_byte_is_taken(monkeypatch):
         buffer = Binary()
 
     monkeypatch.setattr(sys, "stdout", Text())
+    return taken
+
+
+def test_a_short_write_is_retried_until_every_byte_is_taken(monkeypatch):
+    taken = _short_writing_stdout(monkeypatch)
     text = "ị" * 70_000
     write_output(text, None)
     assert taken == text.encode("utf-8")
+
+
+def test_a_short_write_of_bytes_is_retried_until_every_byte_is_taken(monkeypatch):
+    taken = _short_writing_stdout(monkeypatch)
+    data = ("ị" * 70_000).encode("utf-8")
+    write_output(data, None)
+    assert taken == data
 
 
 def test_matrix_order_mismatch(doc1):
@@ -494,12 +535,25 @@ def test_matrix_order_mismatch(doc1):
 
 
 def test_tsv_first_line(doc1_bundle):
-    assert bundle_to_tsv(doc1_bundle).splitlines()[0] == "nkuziie\t4"
+    assert bundle_to_tsv(doc1_bundle).splitlines()[0] == b"nkuziie\t4"
 
 
 def test_tsv_empty_table():
     empty = NGramTable({}, 0)
-    assert bundle_to_tsv(RepresentationBundle("d", {1: empty})) == ""
+    assert bundle_to_tsv(RepresentationBundle("d", {1: empty})) == b""
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{("\ud800",): 1, ("a",): 1}, {("\ud800",): 1, ("e\u0301",): 1}],
+    ids=["byte-ranked", "nfc-ranked"],
+)
+def test_a_word_holding_a_lone_surrogate_is_refused_by_the_tsv(counts):
+    # Only a hand-built or bundle_from_json table can hold one; its TSV has
+    # no UTF-8, on either ranking path.
+    table = NGramTable(counts, sum(counts.values()))
+    with pytest.raises(UnicodeEncodeError):
+        bundle_to_tsv(RepresentationBundle("d", {1: table}))
 
 
 def test_bundle_tsv_has_one_row_per_entry(doc1_bundle):
@@ -508,9 +562,10 @@ def test_bundle_tsv_has_one_row_per_entry(doc1_bundle):
     assert len(rows) == 27 + 31 + 34
 
 
-def test_bundle_tsv_is_one_str(doc1_bundle):
-    # Made whole, not as pieces: a timer around the call sees all its work.
-    assert type(bundle_to_tsv(doc1_bundle)) is str
+def test_bundle_tsv_is_one_bytes_object(doc1_bundle):
+    # Made whole, not as pieces: a timer around the call sees all its work,
+    # the encode included.
+    assert type(bundle_to_tsv(doc1_bundle)) is bytes
 
 
 def test_json_roundtrip(doc1_bundle):

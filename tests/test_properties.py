@@ -29,11 +29,12 @@ from igbotext import (
     trigram_conditional,
     unigram_probability,
 )
+from igbotext import ngrams as ngrams_module
 from igbotext import normalize as normalize_module
 from igbotext import pipeline as pipeline_module
 from igbotext.cli import main as cli_main
 from igbotext.lexicon import CompoundCategory, match_key_features
-from igbotext.ngrams import ORDERS, NGramTable, extract_ngrams, rank_features
+from igbotext.ngrams import ORDERS, NGramTable, count_runs, extract_ngrams, rank_features
 from igbotext.normalize import fold, normalize, pieces, remove_stopwords, tokenize
 from igbotext.pipeline import (
     ENCODER,
@@ -537,6 +538,19 @@ def test_no_token_starts_with_a_combining_mark(text):
             assert not unicodedata.category(token[0]).startswith("M"), token
 
 
+@given(st.one_of(noisy_texts, marked_texts, st.text(max_size=60)))
+@settings(max_examples=300, deadline=None)
+def test_every_run_of_a_counted_table_is_ranked_as_bytes(text):
+    # A table counted from text has NFC grams whose words hold no line
+    # feed, so each of its runs takes count_runs' byte path: one NFC call
+    # a run, none a gram.
+    for pipeline in _PIPELINES.values():
+        for table in pipeline.represent(Document("d", text)).tables.values():
+            with mock.patch.object(ngrams_module, "_nfc", wraps=ngrams_module._nfc) as nfc:
+                runs = list(count_runs(table.counts))
+            assert nfc.call_count == len(runs)
+
+
 @given(noisy_texts)
 @settings(max_examples=500, deadline=None)
 def test_tables_match_word_by_word_reference(text):
@@ -635,8 +649,12 @@ def test_matrix_output_matches_dense_reference(texts, n, mode):
 
 
 # Words of arbitrary tables: NFC and NFD spellings of one word, characters
-# below U+0020, and spaces, so that two grams can join to the same string.
-rank_words = st.text(alphabet="ab \x01\x1f\u00e9e\u0301\u0323\u1ee5", max_size=3)
+# below U+0020, spaces, so that two grams can join to the same string, and
+# line feeds. U+E000 and U+1D11E rank one way in code point (and UTF-8)
+# order, the other in UTF-16 order.
+rank_words = st.text(
+    alphabet="ab \x01\x1f\n\u00e9e\u0301\u0323\u1ee5\ue000\U0001d11e", max_size=3
+)
 
 
 @st.composite
@@ -652,6 +670,13 @@ def arbitrary_tables(draw):
 @example((2, {("a b", "c"): 1, ("a", "b c"): 1, ("b", "a"): 1}))
 @example((2, {("a", "b c"): 2, ("a b", "c"): 2, ("a", "\x01"): 2}))
 @example((1, {("e\u0301",): 1, ("\u00e9",): 1, ("f",): 1, ("e",): 1}))
+# A run of NFD/NFC twins, ranked by their NFC keys.
+@example((2, {("u\u0323", "a"): 1, ("a", "\u1ee5"): 1, ("\u1ee5", "a"): 1, ("a", "u\u0323"): 1}))
+# Words holding a line feed, also ranked by their NFC keys.
+@example((2, {("a\nb", "a"): 2, ("a", "b"): 2, ("a", "\n"): 2, ("", "b\n"): 2}))
+# NFC runs, ranked as bytes: UTF-16 order would put U+1D11E first.
+@example((1, {("\U0001d11e",): 4, ("\ue000",): 4, ("b",): 4, ("\u00e9",): 1, ("a",): 1}))
+@example((1, {("\ue000",): 1}))  # one word
 @settings(max_examples=300, deadline=None)
 def test_every_ranking_matches_the_reference_sort(n_table):
     n, counts = n_table
@@ -676,9 +701,8 @@ def test_every_ranking_matches_the_reference_sort(n_table):
 
 def _assert_table_outputs_rank_as(n, table, expected):
     assert rank_features(table.counts) == expected
-    tsv = "".join(f"{' '.join(gram)}\t{count}\n" for gram, count in expected)
     bundle = RepresentationBundle("d", {n: table})
-    assert bundle_to_tsv(bundle).encode("utf-8") == tsv.encode("utf-8")
+    assert bundle_to_tsv(bundle) == reference_table_tsv(table.counts).encode("utf-8")
     assert table_to_obj(bundle, n)["entries"] == [
         {"gram": list(gram), "count": count} for gram, count in expected
     ]
@@ -759,7 +783,7 @@ def test_bundle_tsv_is_the_reference_tables_blank_line_joined(tables):
         "d", {n: NGramTable(counts, sum(counts.values())) for n, counts in tables.items()}
     )
     blocks = [reference_table_tsv(tables[n]) for n in sorted(tables)]
-    assert bundle_to_tsv(bundle) == "\n".join(block for block in blocks if block)
+    assert bundle_to_tsv(bundle) == "\n".join(block for block in blocks if block).encode("utf-8")
 
 
 # Tokens of a few letters, "ụ" spelled both NFC and NFD, so that phrases
