@@ -128,7 +128,7 @@ def _pipeline_config(args: argparse.Namespace, orders: tuple[int, ...] = ORDERS)
     )
 
 
-def _cmd_normalize(args: argparse.Namespace) -> Iterator[str]:
+def _cmd_normalize(args: argparse.Namespace) -> Iterator[bytes]:
     doc = load_corpus([args.file])[0]
     texts = filter(None, map(" ".join, tokens(doc.text, args.mode)))
     # Each piece as it is made, after the space that joins it to the one before.
@@ -136,28 +136,28 @@ def _cmd_normalize(args: argparse.Namespace) -> Iterator[str]:
     if args.format == "json":
         # JSON escapes each character on its own, so the text's string is
         # the pieces' escapes, cut into the object of an empty text.
-        head, _, tail = "".join(to_json({"doc_id": doc.id, "text": ""})).rpartition('""')
+        head, _, tail = ENCODER.encode({"doc_id": doc.id, "text": ""}).rpartition('""')
         escaped = (ENCODER.encode(piece)[1:-1] for piece in joined)
-        return chain([head + '"'], escaped, ['"' + tail])
-    return chain(joined, ["\n"])
+        return map(str.encode, chain([head + '"'], escaped, ['"' + tail + "\n"]))
+    return map(str.encode, chain(joined, ["\n"]))
 
 
-def _cmd_tokenize(args: argparse.Namespace) -> Iterator[str]:
+def _cmd_tokenize(args: argparse.Namespace) -> Iterator[bytes]:
     doc = load_corpus([args.file])[0]
     streams = tokens(doc.text, args.mode)
     if args.format == "json":
         return to_json({"doc_id": doc.id, "tokens": list(interned(streams))})
-    return ("\n".join(words) + "\n" for words in streams if words)
+    return (("\n".join(words) + "\n").encode() for words in streams if words)
 
 
-def _cmd_represent(args: argparse.Namespace) -> bytes | Iterator[str]:
+def _cmd_represent(args: argparse.Namespace) -> bytes | Iterator[bytes]:
     cfg = _pipeline_config(args, args.n)
     # No name holds the document, so its text is freed before serializing.
     bundle = Pipeline(cfg).represent(load_corpus([args.file])[0])
     return bundle_to_json(bundle) if args.format == "json" else bundle_to_tsv(bundle)
 
 
-def _cmd_matrix(args: argparse.Namespace) -> str | Iterator[str]:
+def _cmd_matrix(args: argparse.Namespace) -> Iterator[bytes]:
     # Listed as given: "" names no directory, though ``Path("")`` is ".".
     with os.scandir(args.dir) as entries:
         paths = sorted(e.path for e in entries if e.name.endswith(".txt") and e.is_file())
@@ -167,7 +167,7 @@ def _cmd_matrix(args: argparse.Namespace) -> str | Iterator[str]:
     return matrix_to_json(matrix) if args.format == "json" else matrix_to_tsv(matrix)
 
 
-def _cmd_features(args: argparse.Namespace) -> str | Iterator[str]:
+def _cmd_features(args: argparse.Namespace) -> bytes | Iterator[bytes]:
     cfg = _pipeline_config(args)
     doc = load_corpus([args.file])[0]
     features = Pipeline(cfg).features(doc)

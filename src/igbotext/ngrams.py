@@ -46,11 +46,18 @@ def is_order(n: object) -> bool:
 
 @dataclass(frozen=True)
 class NGramTable:
-    """Counts of one order's windows and the number of windows. The
-    ``RepresentationBundle`` holding it owns its order and document id."""
+    """Counts of one order's windows and their sum, the number of windows.
+    The ``RepresentationBundle`` holding it owns its order and document id."""
 
     counts: Mapping[NGram, int]
     total_windows: int
+
+    def __post_init__(self) -> None:
+        windows = sum(self.counts.values())
+        if self.total_windows != windows:
+            raise ValueError(
+                f"total_windows {self.total_windows!r} is not the sum of the counts, {windows}"
+            )
 
 
 @dataclass(frozen=True)

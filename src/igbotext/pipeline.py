@@ -269,22 +269,11 @@ def build_doc_term_matrix(bundles: Iterable[RepresentationBundle], n: int) -> Do
 
 # --- serialization -----------------------------------------------------
 
-def to_json(payload: object) -> Iterator[str]:
-    """The ``ENCODER`` text of ``payload`` and a closing newline, in pieces
-    to write as they are made; joined, they are what ``json.dumps`` gives
-    with the same settings, plus the newline."""
-    return chain(ENCODER.iterencode(payload), ["\n"])
-
-
-def _tsv_runs(counts: Mapping[NGram, int]) -> Iterator[bytes]:
-    """The UTF-8 of one "gram<TAB>count" row per entry, in rank order: each
-    run of equal counts is its grams' bytes (``count_runs``) joined by, and
-    ended with, the same tail. A generator, so that each run's grams are
-    gone once its rows are made."""
-    for count, grams in count_runs(counts):
-        tail = b"\t%d\n" % count
-        yield tail.join(grams)
-        yield tail
+def to_json(payload: object) -> Iterator[bytes]:
+    """The UTF-8 of the ``ENCODER`` text of ``payload`` and a closing
+    newline, in pieces to write as they are made; joined and decoded, they
+    are what ``json.dumps`` gives with the same settings, plus the newline."""
+    return map(str.encode, chain(ENCODER.iterencode(payload), ["\n"]))
 
 
 def table_to_obj(b: RepresentationBundle, n: int) -> dict:
@@ -301,26 +290,27 @@ def table_to_obj(b: RepresentationBundle, n: int) -> dict:
 
 
 def bundle_to_tsv(b: RepresentationBundle) -> bytes:
-    """The UTF-8 bytes of the tables in ascending order, blank-line
-    separated when several.
-
-    One ``join`` over every table's runs (``_tsv_runs``), each blank line a
-    piece of its own: no table's TSV is made and then copied into the
-    whole, and the whole is never a ``str`` to encode. A table is empty
-    exactly when its TSV is. A word holding a lone surrogate, which a
-    table built by hand or read by ``bundle_from_json`` can hold and a
-    pipeline's cannot, is a ``UnicodeEncodeError`` raised here."""
+    """The UTF-8 "gram<TAB>count" rows of the tables in ascending order,
+    blank-line separated when several, made whole by one ``join``: each run
+    of equal counts is its grams' bytes (``count_runs``) joined by, and
+    ended with, the same tail. No table's TSV is copied into the whole, and
+    the whole is never a ``str`` to encode. A table is empty exactly when
+    its TSV is. A word holding a lone surrogate, which a table built by
+    hand or read by ``bundle_from_json`` can hold and a pipeline's cannot,
+    is a ``UnicodeEncodeError`` raised here."""
     pieces: list[bytes] = []
     for n in sorted(b.tables):
         counts = b.tables[n].counts
         if pieces and counts:
             pieces.append(b"\n")
-        pieces += _tsv_runs(counts)
+        for count, grams in count_runs(counts):
+            tail = b"\t%d\n" % count
+            pieces += tail.join(grams), tail
     return b"".join(pieces)
 
 
-def bundle_to_json(b: RepresentationBundle) -> Iterator[str]:
-    """One table object, or a list of them in ascending order when several."""
+def bundle_to_json(b: RepresentationBundle) -> Iterator[bytes]:
+    """``to_json`` of one table object, or of a list in ascending order when several."""
     objs = [table_to_obj(b, n) for n in sorted(b.tables)]
     return to_json(objs[0] if len(objs) == 1 else objs)
 
@@ -381,23 +371,23 @@ def bundle_from_json(text: str) -> RepresentationBundle:
 
 
 def _dense_rows(
-    m: DocTermMatrix, heads: Iterable[str], sep: str, tail: str, skip: int = 0
-) -> Iterator[str]:
-    """One line per document: its head, ``sep + count`` for every feature,
-    then ``tail``, with the first ``skip`` characters after the head left out.
+    m: DocTermMatrix, heads: Iterable[bytes], sep: bytes, tail: bytes, skip: int = 0
+) -> Iterator[bytes]:
+    """One line of bytes per document: its head, ``sep + count`` for every
+    feature, then ``tail``, with the first ``skip`` bytes after the head left out.
 
     Each row is a byte copy of one line of zeros, in which gram g's cell
     is the byte at ``at[g]``, with the digit of each count from 0 to 9
     written there by C ``map``s: no Python code runs per cell. A count
-    outside 0-9 is spliced in as ``str(count)``, in cell order, once the
-    row is decoded, so the Python work of a row grows only with those cells.
+    outside 0-9 is spliced in as ``b"%d" % count``, in cell order, so the
+    Python work of a row grows only with those cells.
 
     A row holding a gram that is not a feature is a ValueError that names
     its document and the gram, raised when that row is reached: the lines
     before it have already been yielded.
     """
-    lead = len(sep)  # ASCII, as is the whole line: a byte is a character
-    zeros = (((sep + "0") * len(m.features))[skip:] + tail).encode()
+    lead = len(sep)
+    zeros = ((sep + b"0") * len(m.features))[skip:] + tail
     at = dict(zip(m.features, range(lead - skip, len(m.features) * (lead + 1), lead + 1)))
     digit = dict(zip(range(10), b"0123456789"))
     for i, (head, row) in enumerate(zip(heads, m.rows)):
@@ -417,13 +407,12 @@ def _dense_rows(
                       map(digit.get, values, repeat(digit[0]))), maxlen=0)
             wide = sorted(compress(zip(map(at.__getitem__, row), values),
                                    map(not_, map(digit.__contains__, values))))
-        line = cells.decode()
-        pieces, start = [head], 0
+        line, pieces, start = memoryview(cells), [head], 0
         for cell, count in wide:
-            pieces += line[start:cell], str(count)
+            pieces += line[start:cell], b"%d" % count
             start = cell + 1
         pieces.append(line[start:])
-        yield "".join(pieces)
+        yield b"".join(pieces)
 
 
 # The characters that end a TSV cell or row: TAB, and every character at
@@ -431,8 +420,8 @@ def _dense_rows(
 _TSV_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
-    """TSV lines, made one at a time: a header, then one row per document.
+def matrix_to_tsv(m: DocTermMatrix) -> Iterator[bytes]:
+    """UTF-8 TSV lines, made one at a time: a header, then one row per document.
 
     Every line is ``doc_id`` or a document id followed by ``<TAB>value``
     per feature. Each row is a patched copy of one line of zeros
@@ -451,11 +440,11 @@ def matrix_to_tsv(m: DocTermMatrix) -> Iterator[str]:
             )
     if not m.doc_ids and not m.features:
         return iter(())
-    header = "\t".join(chain(["doc_id"], map(" ".join, m.features))) + "\n"
-    return chain([header], _dense_rows(m, m.doc_ids, "\t", "\n"))
+    header = ("\t".join(chain(["doc_id"], map(" ".join, m.features))) + "\n").encode()
+    return chain([header], _dense_rows(m, map(str.encode, m.doc_ids), b"\t", b"\n"))
 
 
-def matrix_to_json(m: DocTermMatrix) -> Iterator[str]:
+def matrix_to_json(m: DocTermMatrix) -> Iterator[bytes]:
     """The bytes ``to_json`` gives for ``{n, docs, features, cells}``, made
     one dense row at a time.
 
@@ -464,21 +453,22 @@ def matrix_to_json(m: DocTermMatrix) -> Iterator[str]:
     ``",\\n      0"`` per feature, whose first comma gives way to the row's ``[``.
     """
     head = {"n": m.n, "docs": m.doc_ids, "features": m.features}
-    yield ENCODER.encode(head)[:-2]  # up to its closing "\n}"
-    yield ',\n  "cells": ['
-    heads = chain(["\n    ["], repeat(",\n    ["))
-    yield from _dense_rows(m, heads, ",\n      ", "\n    ]" if m.features else "]", skip=1)
-    yield "\n  ]" if m.rows else "]"
-    yield "\n}\n"
+    yield ENCODER.encode(head)[:-2].encode()  # up to its closing "\n}"
+    yield b',\n  "cells": ['
+    heads = chain([b"\n    ["], repeat(b",\n    ["))
+    yield from _dense_rows(m, heads, b",\n      ", b"\n    ]" if m.features else b"]", skip=1)
+    yield b"\n  ]" if m.rows else b"]"
+    yield b"\n}\n"
 
 
-def features_to_tsv(features: list[KeyFeature]) -> str:
+def features_to_tsv(features: list[KeyFeature]) -> bytes:
+    """UTF-8 "gram<TAB>count<TAB>gloss<TAB>category" rows, one per feature, made whole."""
     return "".join(
         f"{' '.join(f.gram)}\t{f.count}\t{f.gloss}\t{f.category.value}\n" for f in features
-    )
+    ).encode()
 
 
-def features_to_json(doc_id: str, features: list[KeyFeature]) -> Iterator[str]:
+def features_to_json(doc_id: str, features: list[KeyFeature]) -> Iterator[bytes]:
     return to_json({
         "doc_id": doc_id,
         "features": [
@@ -494,30 +484,27 @@ def features_to_json(doc_id: str, features: list[KeyFeature]) -> Iterator[str]:
 
 
 def write_output(
-    text: str | bytes | Iterable[str], destination: str | os.PathLike[str] | None
+    data: bytes | Iterable[bytes], destination: str | os.PathLike[str] | None
 ) -> None:
-    """Write the UTF-8 bytes of ``text`` to a file, or to stdout when
-    destination is None, whatever stdout's own encoding. A stdout with no
-    ``buffer``, such as an ``io.StringIO`` put in its place, is written
-    each string itself, once, and ``bytes`` as their decoded text.
-
-    ``text`` is UTF-8 ``bytes`` written as they are, one string, or an
-    iterable of strings written as they are made, so that only one is
-    alive at a time. Each chunk's bytes are written until all are taken: a
-    pipe whose reader went away takes part of a write with no error, and
-    the next write raises BrokenPipeError.
+    """Write UTF-8 ``data`` to a file, or to stdout when destination is
+    None, whatever stdout's own encoding: one ``bytes`` object, or an
+    iterable of them written as they are made, so that only one is alive at
+    a time. Each chunk's bytes are written until all are taken: a pipe
+    whose reader went away takes part of a write with no error, and the
+    next write raises BrokenPipeError. A stdout with no ``buffer``, such as
+    an ``io.StringIO`` put in its place, is written each chunk's decoded
+    text, once.
     """
-    if isinstance(text, str):
-        text = [text]
+    if isinstance(data, bytes):
+        data = [data]
     stdout = getattr(sys.stdout, "buffer", sys.stdout)
     sink = nullcontext(stdout) if destination is None else open(destination, "wb")
     with sink as fh:
-        if fh is sys.stdout:
-            for chunk in [text.decode()] if isinstance(text, bytes) else text:
-                fh.write(chunk)
-        else:
-            for data in [text] if isinstance(text, bytes) else map(str.encode, text):  # UTF-8
-                written = fh.write(data)
-                while written < len(data):
-                    written += fh.write(memoryview(data)[written:])
+        for chunk in data:
+            if fh is sys.stdout:
+                fh.write(chunk.decode())
+                continue
+            written = fh.write(chunk)
+            while written < len(chunk):
+                written += fh.write(memoryview(chunk)[written:])
         fh.flush()

@@ -53,7 +53,7 @@ def test_matrix_small_corpus(benchmark, doc1, golden_pipeline):
 
     def build_and_write():
         matrix = build_doc_term_matrix(bundles, 2)
-        return matrix, "".join(matrix_to_tsv(matrix))
+        return matrix, b"".join(matrix_to_tsv(matrix))
 
     matrix, tsv = benchmark(build_and_write)
     merged = Counter()

@@ -360,15 +360,21 @@ def test_stdout_gets_the_output_files_bytes_whatever_its_encoding(tmp_path, argv
     assert proc.stdout == out.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["normalize", DOC1], ["represent", DOC1, "--format", "json"], ["represent", DOC1]],
-    ids=["normalize", "represent-json", "represent-tsv"],
-)
-def test_stdout_without_a_buffer_gets_the_output_files_text(tmp_path, argv):
-    # A text stream in stdout's place, as an in-process caller may set.
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("command", ["normalize", "tokenize", "represent", "matrix", "features"])
+def test_stdout_without_a_buffer_gets_the_output_files_text(tmp_path, command, fmt):
+    # A text stream in stdout's place, as an in-process caller may set: it
+    # is written each chunk's text, so every chunk must decode on its own.
     from igbotext.cli import main
 
+    # Every output holds multi-byte characters: in its words, its lexicon
+    # phrases or its document id.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "doc1.txt").write_bytes(DOC1_PATH.read_bytes())
+    doc = corpus / "ụlọ.txt"
+    doc.write_text("ụlọ ọgwụ na ụlọ akwukwo ọma, ụlọ ọgwụ", encoding="utf-8")
+    argv = [command, str(corpus if command == "matrix" else doc), "--format", fmt]
     out = tmp_path / "out"
     assert main([*argv, "--output", str(out)]) == 0
     with contextlib.redirect_stdout(io.StringIO()) as stdout:

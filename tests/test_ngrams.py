@@ -118,6 +118,14 @@ def test_short_stream_has_zero_windows():
     assert t.total_windows == 0
 
 
+@pytest.mark.parametrize("counts, total", [({("a",): 1}, 5), ({("a",): 2}, 1), ({}, 1)])
+def test_a_table_whose_total_is_not_the_sum_of_its_counts_is_refused(counts, total):
+    # Such a table would read a wrong probability, and its JSON would be
+    # refused by bundle_from_json.
+    with pytest.raises(ValueError, match=f"^total_windows {total} is not the sum of the counts"):
+        NGramTable(counts, total)
+
+
 def test_unigram_probability(model):
     assert unigram_probability(model, "nkuziie") == pytest.approx(4 / 36, abs=1e-12)
     assert unigram_probability(model, "zzz") == 0.0

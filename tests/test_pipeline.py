@@ -462,7 +462,7 @@ def test_a_stdout_with_no_buffer_is_written_each_piece_once(monkeypatch):
 
     monkeypatch.setattr(sys, "stdout", Text())
     pieces = ["a\t1\n", "ị" * 70_000, "", "b\n"]
-    write_output(iter(pieces), None)
+    write_output(map(str.encode, pieces), None)
     assert written == pieces
 
 
@@ -493,10 +493,9 @@ def test_bytes_are_written_as_they_are_or_as_their_text(tmp_path, monkeypatch):
     assert sys.stdout.getvalue() == data.decode("utf-8")
 
 
-def _short_writing_stdout(monkeypatch) -> bytearray:
-    """A binary stdout that takes at most 1,000 bytes a write and says so,
-    as a pipe whose reader went away may take part of one; the bytes it
-    took."""
+def test_a_short_write_of_bytes_is_retried_until_every_byte_is_taken(monkeypatch):
+    # A binary stdout that takes at most 1,000 bytes a write and says so,
+    # as a pipe whose reader went away may take part of one.
     taken = bytearray()
 
     class Binary:
@@ -511,18 +510,6 @@ def _short_writing_stdout(monkeypatch) -> bytearray:
         buffer = Binary()
 
     monkeypatch.setattr(sys, "stdout", Text())
-    return taken
-
-
-def test_a_short_write_is_retried_until_every_byte_is_taken(monkeypatch):
-    taken = _short_writing_stdout(monkeypatch)
-    text = "ị" * 70_000
-    write_output(text, None)
-    assert taken == text.encode("utf-8")
-
-
-def test_a_short_write_of_bytes_is_retried_until_every_byte_is_taken(monkeypatch):
-    taken = _short_writing_stdout(monkeypatch)
     data = ("ị" * 70_000).encode("utf-8")
     write_output(data, None)
     assert taken == data
@@ -569,13 +556,13 @@ def test_bundle_tsv_is_one_bytes_object(doc1_bundle):
 
 
 def test_json_roundtrip(doc1_bundle):
-    text = "".join(bundle_to_json(doc1_bundle))
-    parsed = bundle_from_json(text)
+    data = b"".join(bundle_to_json(doc1_bundle))
+    parsed = bundle_from_json(data.decode("utf-8"))
     assert parsed.doc_id == doc1_bundle.doc_id
     for n in (1, 2, 3):
         assert parsed.tables[n].counts == doc1_bundle.tables[n].counts
         assert parsed.tables[n].total_windows == doc1_bundle.tables[n].total_windows
-    assert "".join(bundle_to_json(parsed)) == text
+    assert b"".join(bundle_to_json(parsed)) == data
 
 
 def _table_obj(**fields) -> dict:
@@ -697,7 +684,7 @@ def test_json_single_order_shape(doc1, golden_pipeline):
     import json
 
     bundle = Pipeline(PipelineConfig(mode=Mode.PAPER_GOLDEN, orders=(1,))).represent(doc1)
-    payload = json.loads("".join(bundle_to_json(bundle)))
+    payload = json.loads(b"".join(bundle_to_json(bundle)).decode("utf-8"))
     assert payload["n"] == 1
     assert payload["total"] == 36
     assert payload["entries"][0] == {"gram": ["nkuziie"], "count": 4}
@@ -706,12 +693,12 @@ def test_json_single_order_shape(doc1, golden_pipeline):
 def test_matrix_serialization(doc1, golden_pipeline):
     bundle = golden_pipeline.represent(doc1)
     matrix = build_doc_term_matrix([bundle], 1)
-    tsv = "".join(matrix_to_tsv(matrix))
+    tsv = b"".join(matrix_to_tsv(matrix)).decode("utf-8")
     lines = tsv.splitlines()
     assert lines[0].startswith("doc_id\tnkuziie\tprojekto")
     assert len(lines) == 2
-    assert "".join(matrix_to_json(matrix)).endswith("\n")
-    assert "".join(matrix_to_tsv(build_doc_term_matrix([], 1))) == ""
+    assert b"".join(matrix_to_json(matrix)).endswith(b"\n")
+    assert b"".join(matrix_to_tsv(build_doc_term_matrix([], 1))) == b""
 
 
 def test_matrix_rows_write_every_count_as_its_str():
@@ -725,8 +712,8 @@ def test_matrix_rows_write_every_count_as_its_str():
     rows[2] = dict(reversed(rows[2].items()))
     m = DocTermMatrix(n=1, doc_ids=("x", "ý", "z", "w"), features=features, rows=tuple(rows))
     args = (["x", "ý", "z", "w"], features, cells)
-    assert "".join(matrix_to_tsv(m)) == reference_matrix_tsv(*args)
-    assert "".join(matrix_to_json(m)) == reference_matrix_json(1, *args)
+    assert b"".join(matrix_to_tsv(m)) == reference_matrix_tsv(*args).encode("utf-8")
+    assert b"".join(matrix_to_json(m)) == reference_matrix_json(1, *args).encode("utf-8")
 
 
 @pytest.mark.parametrize("serialize", [matrix_to_tsv, matrix_to_json])

@@ -229,7 +229,8 @@ json_words = st.text(alphabet='ab"\\\n\x01\u00e9e\u0301\u1ee5’ ', min_size=1, 
 @settings(max_examples=300, deadline=None)
 def test_bundle_json_round_trip(tokens, orders, doc_id):
     bundle = RepresentationBundle(doc_id, {n: extract_ngrams(tuple(tokens), n) for n in orders})
-    text = "".join(bundle_to_json(bundle))
+    data = b"".join(bundle_to_json(bundle))
+    text = data.decode("utf-8")
     assert isinstance(json.loads(text), dict) == (len(orders) == 1)
     parsed = bundle_from_json(text)
     assert parsed.doc_id == doc_id
@@ -237,7 +238,7 @@ def test_bundle_json_round_trip(tokens, orders, doc_id):
     for n in orders:
         assert parsed.tables[n].counts == bundle.tables[n].counts
         assert parsed.tables[n].total_windows == bundle.tables[n].total_windows
-    assert "".join(bundle_to_json(parsed)) == text
+    assert b"".join(bundle_to_json(parsed)) == data
 
 
 json_payloads = st.recursive(
@@ -253,7 +254,7 @@ json_payloads = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_to_json_is_the_standard_encoders_text(payload):
     expected = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    assert "".join(to_json(payload)) == expected
+    assert b"".join(to_json(payload)) == expected.encode("utf-8")
 
 
 @given(st.lists(st.text(max_size=6) | json_words, max_size=8))
@@ -718,8 +719,8 @@ def _assert_table_outputs_rank_as(n, table, expected):
         ]
         m = build_doc_term_matrix(bundles, n)
         assert m.features == tuple(dense[1]) == tuple(gram for gram, _ in expected)
-        assert "".join(matrix_to_tsv(m)) == reference_matrix_tsv(*dense)
-        assert "".join(matrix_to_json(m)) == reference_matrix_json(n, *dense)
+        assert b"".join(matrix_to_tsv(m)) == reference_matrix_tsv(*dense).encode("utf-8")
+        assert b"".join(matrix_to_json(m)) == reference_matrix_json(n, *dense).encode("utf-8")
 
 
 def _share(counts, k, i):
