@@ -493,7 +493,7 @@ def test_bytes_are_written_as_they_are_or_as_their_text(tmp_path, monkeypatch):
     assert sys.stdout.getvalue() == data.decode("utf-8")
 
 
-def test_a_short_write_of_bytes_is_retried_until_every_byte_is_taken(monkeypatch):
+def _short_writing_stdout(monkeypatch):
     # A binary stdout that takes at most 1,000 bytes a write and says so,
     # as a pipe whose reader went away may take part of one.
     taken = bytearray()
@@ -510,6 +510,19 @@ def test_a_short_write_of_bytes_is_retried_until_every_byte_is_taken(monkeypatch
         buffer = Binary()
 
     monkeypatch.setattr(sys, "stdout", Text())
+    return taken
+
+
+def test_a_short_write_is_retried_until_every_byte_is_taken(monkeypatch):
+    # The chunked form: every chunk of an iterable is written whole, in order.
+    taken = _short_writing_stdout(monkeypatch)
+    chunks = [("ị" * n).encode("utf-8") for n in (70_000, 1, 0, 499, 12_345)]
+    write_output(iter(chunks), None)
+    assert taken == b"".join(chunks)
+
+
+def test_a_short_write_of_bytes_is_retried_until_every_byte_is_taken(monkeypatch):
+    taken = _short_writing_stdout(monkeypatch)
     data = ("ị" * 70_000).encode("utf-8")
     write_output(data, None)
     assert taken == data
